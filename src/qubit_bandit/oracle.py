@@ -3,9 +3,9 @@
 Everything here is computed by enumeration rather than simulation: the
 one-step outcome distribution of single-agent play, its expected state
 change, the exact state distribution after T rounds (the clamped update
-walks a finite lattice, so the chain is small enough to power up), and a
-report that puts the long-run behavior next to the simple reward-share
-ratio p1 / (p1 + p2) without asserting that they agree.
+walks a finite lattice with two successors per state, so mass moves through
+successor tables), and a report that puts the long-run behavior next to the
+simple reward-share ratio p1 / (p1 + p2) without asserting that they agree.
 
 The enumerators deliberately re-derive the clamped update inline instead of
 calling the policy code, so the two routes stay independent.
@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .policies import GhzConstants, majority_update_rule
+from .bandit import TwoArmBandit
+from .policies import GhzConstants, UpdateConfig, majority_update_rule, single_agent_step
+from .quantum import RandomStream, _check_probability
 
 __all__ = [
     "TransitionDistribution",
@@ -37,14 +39,16 @@ __all__ = [
 _PROB_SUM_TOL = 1e-12
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
 def _check_increment(c: float) -> None:
-    if not (isinstance(c, (int, float)) and c > 0.0):
-        raise ValueError(f"c must be > 0, got {c!r}")
+    if not (isinstance(c, (int, float)) and 0.0 < c < math.inf):
+        raise ValueError(f"c must be finite and > 0, got {c!r}")
+
+
+def _check_horizon(horizon: int, minimum: int) -> int:
+    is_integer = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
+    if not (is_integer and horizon >= minimum):
+        raise ValueError(f"horizon must be an integer >= {minimum}, got {horizon!r}")
+    return int(horizon)
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,8 @@ def _branches(p0: float, p1: float, p2: float) -> tuple[tuple[bool, float], ...]
 
     Returned in a fixed canonical order as (shifts toward zero, probability):
     machine 0 rewarded, machine 0 unrewarded, machine 1 rewarded, machine 1
-    unrewarded. Both the enumerator and the chain builder consume this, so
-    their floating-point sums agree bit for bit.
+    unrewarded. The enumerator and the chain builder (p0 an array of states)
+    both consume this, so their floating-point sums agree bit for bit.
     """
     return (
         (True, p0 * p1),
@@ -196,30 +200,28 @@ def drift_curve(p1: float, p2: float, c: float, points: int = 101) -> DriftCurve
 
 def _lattice_chain(
     p0: float, p1: float, p2: float, c: float, max_states: int
-) -> tuple[list[Fraction], int, np.ndarray]:
-    """Reachable clamped lattice and its transition matrix.
+) -> tuple[np.ndarray, int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Reachable clamped lattice and its successor tables.
 
-    States are exact rationals (the binary floats p0 and c are taken at face
-    value), so lattice points reached along different paths always merge.
-    Returns (sorted states, index of the start state, row-stochastic matrix).
+    States are exact integers over the common dyadic denominator of the
+    floats p0 and c, clamped to [0, den], so points reached along different
+    paths always merge. Returns (sorted state values as floats, index of the
+    start state, a (target index, probability) column pair per _branches).
     """
-    c_exact = Fraction(c)
-    zero, one = Fraction(0), Fraction(1)
-    start = Fraction(p0)
+    den = math.lcm(Fraction(p0).denominator, Fraction(c).denominator)
+    start, step = int(Fraction(p0) * den), int(Fraction(c) * den)
 
-    def up(s: Fraction) -> Fraction:
-        t = s + c_exact
-        return one if t > one else t
+    def up(n: int) -> int:
+        return min(n + step, den)
 
-    def down(s: Fraction) -> Fraction:
-        t = s - c_exact
-        return zero if t < zero else t
+    def down(n: int) -> int:
+        return max(n - step, 0)
 
     states = {start}
     frontier = [start]
     while frontier:
-        s = frontier.pop()
-        for nxt in (up(s), down(s)):
+        n = frontier.pop()
+        for nxt in (up(n), down(n)):
             if nxt not in states:
                 states.add(nxt)
                 frontier.append(nxt)
@@ -229,14 +231,20 @@ def _lattice_chain(
                 "raise the bound or use a larger c"
             )
     order = sorted(states)
-    index = {s: i for i, s in enumerate(order)}
-    matrix = np.zeros((len(order), len(order)))
-    for i, s in enumerate(order):
-        up_col = index[up(s)]
-        down_col = index[down(s)]
-        for toward_zero, prob in _branches(float(s), p1, p2):
-            matrix[i, up_col if toward_zero else down_col] += prob
-    return order, index[start], matrix
+    index = {n: i for i, n in enumerate(order)}
+    successor = {
+        True: np.array([index[up(n)] for n in order]),
+        False: np.array([index[down(n)] for n in order]),
+    }
+    # int / int rounds once, exactly like float(Fraction(n, den))
+    values = np.array([n / den for n in order])
+    tables = tuple((successor[toward], prob) for toward, prob in _branches(values, p1, p2))
+    return values, index[start], tables
+
+
+def _step(mass: np.ndarray, tables: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndarray:
+    """Advance a distribution over lattice states by one round of the chain."""
+    return sum(np.bincount(target, mass * prob, len(mass)) for target, prob in tables)
 
 
 def evolve_distribution(
@@ -246,26 +254,22 @@ def evolve_distribution(
 
     Every reachable state is the start value plus an integer multiple of c,
     re-anchored at a boundary after clamping, so the chain lives on a finite
-    lattice; the distribution is the start vector times the matrix power.
-    Raises when the lattice would exceed max_states.
+    lattice; each round scatters every state's mass along its four branches
+    to its up and down successors, in O(states) time and memory. Raises when
+    the lattice would exceed max_states.
     """
     for name, value in (("p0", p0), ("p1", p1), ("p2", p2)):
         _check_probability(name, value)
     _check_increment(c)
-    if not (isinstance(horizon, int) and horizon >= 0):
-        raise ValueError(f"horizon must be a non-negative integer, got {horizon!r}")
-    order, start_index, matrix = _lattice_chain(p0, p1, p2, c, max_states)
-    mass = np.zeros(len(order))
+    horizon = _check_horizon(horizon, 0)
+    values, start_index, tables = _lattice_chain(p0, p1, p2, c, max_states)
+    mass = np.zeros(len(values))
     mass[start_index] = 1.0
-    mass = mass @ np.linalg.matrix_power(matrix, horizon)
+    for _ in range(horizon):
+        mass = _step(mass, tables)
     # distinct rationals can collapse to one float once a boundary re-anchors
     # the lattice within an ulp of an older point; merge their masses
-    merged: dict[float, float] = {}
-    for s, m in zip(order, mass):
-        if m > 0.0:
-            key = float(s)
-            merged[key] = merged.get(key, 0.0) + float(m)
-    return TransitionDistribution(tuple(sorted(merged.items())))
+    return _merged(list(zip(values.tolist(), mass.tolist())))
 
 
 @dataclass(frozen=True)
@@ -329,12 +333,8 @@ def asymptotic_claim_report(
     and, when the lattice fits, adds the exact chain average over the same
     window. The report quantifies the comparison; it draws no conclusion.
     """
-    from .quantum import RandomStream
-    from .bandit import TwoArmBandit
-    from .policies import UpdateConfig, single_agent_step
-
-    if not (isinstance(horizon, int) and horizon >= 1):
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    _check_increment(c)
+    horizon = _check_horizon(horizon, 1)
     if not (isinstance(trials, int) and trials >= 2):
         raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
     if not 0.0 < window <= 1.0:
@@ -368,19 +368,17 @@ def asymptotic_claim_report(
     mc_zero_rate_ci = float(1.96 * np.std(zero_rates, ddof=1) / math.sqrt(trials))
 
     try:
-        order, start_index, matrix = _lattice_chain(initial_p0, p1, p2, c, max_states)
+        values, start_index, tables = _lattice_chain(initial_p0, p1, p2, c, max_states)
     except ValueError:
         chain_mean_p0 = None
     else:
-        values = np.array([float(s) for s in order])
-        mass = np.zeros(len(order))
+        mass = np.zeros(len(values))
         mass[start_index] = 1.0
-        # window covers the states after rounds start+1 .. horizon
-        mass = mass @ np.linalg.matrix_power(matrix, start + 1)
-        acc = float(values @ mass)
-        for _ in range(window_steps - 1):
-            mass = mass @ matrix
-            acc += float(values @ mass)
+        acc = 0.0
+        for step in range(horizon):
+            mass = _step(mass, tables)
+            if step >= start:
+                acc += float(values @ mass)
         chain_mean_p0 = acc / window_steps
 
     return AsymptoticReport(

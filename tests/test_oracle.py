@@ -21,6 +21,14 @@ def _mass_near(dist, target, tol=1e-9):
     return sum(prob for state, prob in dist.outcomes if abs(state - target) <= tol)
 
 
+def _merged_at_nine_decimals(pairs):
+    merged = {}
+    for state, prob in pairs:
+        key = round(state, 9)
+        merged[key] = merged.get(key, 0.0) + prob
+    return merged
+
+
 # ---------------------------------------------------------------------------
 # the distribution container
 
@@ -185,21 +193,25 @@ def test_evolve_stays_on_the_shifted_lattice():
         assert min(offsets) < 1e-9
 
 
-def test_evolve_two_steps_by_hand():
-    # one step: 0.6 w.p. 0.8, 0.4 w.p. 0.2; compose each branch once more.
-    # Composing the float enumerator drifts off the exact lattice by an ulp
-    # (0.4 - 0.1 != 0.5 - 0.2), so states are matched within 1e-9 here.
-    first = enumerate_single_step(0.5, 0.8, 0.2, 0.1)
-    by_hand = {}
-    for state, prob in first.outcomes:
-        for nxt, q in enumerate_single_step(state, 0.8, 0.2, 0.1).outcomes:
-            by_hand[nxt] = by_hand.get(nxt, 0.0) + prob * q
-    dist = evolve_distribution(0.5, 0.8, 0.2, 0.1, 2)
-    assert len(dist.outcomes) == len(by_hand)
-    for state, prob in dist.outcomes:
-        matches = [p for s, p in by_hand.items() if abs(s - state) < 1e-9]
-        assert len(matches) == 1
-        assert prob == pytest.approx(matches[0], abs=1e-12)
+@pytest.mark.parametrize("horizon", [2, 25])
+def test_evolve_two_steps_by_hand(horizon):
+    # one step: 0.6 w.p. 0.8, 0.4 w.p. 0.2; compose each branch once more per
+    # round. By round 5 the walk reaches both clamps. Composing the float
+    # enumerator drifts off the exact lattice by an ulp (0.4 - 0.1 != 0.5 -
+    # 0.2), and after re-anchoring at a clamp the exact lattice itself holds
+    # points an ulp apart, so both sides are merged at nine decimals here.
+    by_hand = {0.5: 1.0}
+    for _ in range(horizon):
+        by_hand = _merged_at_nine_decimals(
+            (nxt, prob * q)
+            for state, prob in by_hand.items()
+            for nxt, q in enumerate_single_step(state, 0.8, 0.2, 0.1).outcomes
+        )
+    assert (0.0 in by_hand and 1.0 in by_hand) == (horizon >= 5)
+    exact = _merged_at_nine_decimals(evolve_distribution(0.5, 0.8, 0.2, 0.1, horizon).outcomes)
+    assert exact.keys() == by_hand.keys()
+    for state, prob in exact.items():
+        assert prob == pytest.approx(by_hand[state], abs=1e-12)
 
 
 def test_evolve_long_horizon_boundary_mass_is_geometric():
@@ -226,9 +238,30 @@ def test_evolve_guards_against_lattice_blowup():
         evolve_distribution(0.5, 0.8, 0.2, 0.001, 10, max_states=50)
 
 
-def test_evolve_rejects_negative_horizon():
+@pytest.mark.parametrize("horizon", [-1, True])
+def test_evolve_rejects_negative_horizon(horizon):
     with pytest.raises(ValueError):
-        evolve_distribution(0.5, 0.8, 0.2, 0.1, -1)
+        evolve_distribution(0.5, 0.8, 0.2, 0.1, horizon)
+
+
+def test_evolve_accepts_numpy_integer_horizon():
+    assert evolve_distribution(0.5, 0.8, 0.2, 0.1, np.int64(3)) == evolve_distribution(
+        0.5, 0.8, 0.2, 0.1, 3
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evolve_distribution(0.5, 0.8, 0.2, float("inf"), 3),
+        lambda: asymptotic_claim_report(0.8, 0.2, float("inf"), horizon=10, trials=2),
+        lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=True, trials=2),
+    ],
+    ids=["evolve-infinite-c", "report-infinite-c", "report-bool-horizon"],
+)
+def test_oracle_rejects_bad_input_with_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +282,13 @@ def test_asymptotic_report_smoke():
     text = report.summary()
     assert "reward share" in text
     assert f"{report.reward_share:.6f}" in text
+
+
+def test_asymptotic_report_chain_column_is_the_evolved_window_average():
+    # horizon 20 with the default 20 percent window averages rounds 17 .. 20
+    report = asymptotic_claim_report(0.7, 0.4, 0.1, horizon=20, trials=2, initial_p0=0.35)
+    expected = np.mean([evolve_distribution(0.35, 0.7, 0.4, 0.1, t).mean() for t in range(17, 21)])
+    assert report.chain_mean_p0 == pytest.approx(expected, abs=1e-12)
 
 
 def test_asymptotic_report_is_reproducible():
