@@ -29,7 +29,7 @@ from .harness import (
     frequency_test,
     run_experiment,
 )
-from .quantum import RandomStream, sample_bits
+from .quantum import Direction, RandomStream, sample_bits
 
 __all__ = [
     "OUTPUT_DIR_ENV",
@@ -95,10 +95,11 @@ class EmitOptions:
 
 @dataclass(frozen=True)
 class OutputRecordSet:
-    """Everything one run emits: replayable metadata, per-step rows, summary metrics."""
+    """Everything one run emits: replayable metadata, the trajectories whose
+    records become the rows, summary metrics."""
 
     metadata: dict
-    rows: tuple[dict, ...]
+    trajectories: tuple[Trajectory, ...]
     metrics: dict | None
 
 
@@ -378,33 +379,15 @@ def build_recordset(
     trajectories: Sequence[Trajectory],
     metrics: Metrics | None,
 ) -> OutputRecordSet:
-    """Flatten a run into its emitted form: trial-major rows, rounded numbers."""
+    """Gather a run's emitted form: metadata, trajectories in trial order, rounded metrics."""
     metadata = {"tool": "qubit-bandit", "version": __version__, "config": config_to_dict(config)}
-    rows = []
-    for trajectory in trajectories:
-        for record in trajectory.records:
-            rows.append(
-                {
-                    "trial": trajectory.trial,
-                    "step": record.step,
-                    "p0_before": _round12(record.p0_before),
-                    "measured_bit": record.measured_bit,
-                    "chosen_machine": list(record.machines),
-                    "reward": list(record.rewards),
-                    "update_direction": record.update_direction.value
-                    if record.update_direction is not None
-                    else "none",
-                    "update_magnitude": _round12(record.update_magnitude),
-                    "p0_after": _round12(record.p0_after),
-                }
-            )
     metrics_dict = None
     if metrics is not None:
         metrics_dict = {
             key: (_round12(value) if isinstance(value, float) else value)
             for key, value in metrics.to_dict().items()
         }
-    return OutputRecordSet(metadata, tuple(rows), metrics_dict)
+    return OutputRecordSet(metadata, tuple(trajectories), metrics_dict)
 
 
 def _meta_str(value) -> str:
@@ -417,50 +400,107 @@ def _meta_str(value) -> str:
     return str(value)
 
 
-def _csv_lines(recordset: OutputRecordSet):
-    yield f"# tool={recordset.metadata['tool']}"
-    yield f"# version={recordset.metadata['version']}"
-    for key, value in recordset.metadata["config"].items():
-        yield f"# {key}={_meta_str(value)}"
+class _Texts(dict):
+    """Value -> emitted text, filled on first use by one emit call.
+
+    Zeros are formatted every time and never stored: 0.0 and -0.0 are one
+    dict key, but their texts differ.
+    """
+
+    def __init__(self, render) -> None:
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, value):
+        text = self._render(value)
+        if value:
+            self[value] = text
+        return text
+
+
+_DIRECTION_TEXT = {None: "none", **{d: d.value for d in Direction}}
+
+
+def _csv_chunks(recordset: OutputRecordSet):
+    lines = [f"# tool={recordset.metadata['tool']}", f"# version={recordset.metadata['version']}"]
+    lines += [f"# {key}={_meta_str(value)}" for key, value in recordset.metadata["config"].items()]
     if recordset.metrics is not None:
-        for key, value in recordset.metrics.items():
-            yield f"# metric:{key}={_meta_str(value)}"
-    yield _CSV_HEADER
-    for row in recordset.rows:
-        yield ",".join(
-            (
-                str(row["trial"]),
-                str(row["step"]),
-                _meta_str(row["p0_before"]),
-                str(row["measured_bit"]),
-                "|".join(str(m) for m in row["chosen_machine"]),
-                "|".join(str(r) for r in row["reward"]),
-                row["update_direction"],
-                _meta_str(row["update_magnitude"]),
-                _meta_str(row["p0_after"]),
-            )
+        lines += [f"# metric:{key}={_meta_str(value)}" for key, value in recordset.metrics.items()]
+    lines.append(_CSV_HEADER)
+    yield "\n".join(lines) + "\n"
+    # f"{x:.12g}" is the text _meta_str gives _round12(x): 12 digits round-trip
+    num = _Texts(lambda x: f"{x:.12g}")
+    joined = _Texts(lambda values: "|".join(map(str, values)))
+    direction = _DIRECTION_TEXT
+    for trajectory in recordset.trajectories:
+        trial = trajectory.trial
+        yield "".join(
+            [
+                f"{trial},{r.step},{num[r.p0_before]},{r.measured_bit},{joined[r.machines]},"
+                f"{joined[r.rewards]},{direction[r.update_direction]},"
+                f"{num[r.update_magnitude]},{num[r.p0_after]}\n"
+                for r in trajectory.records
+            ]
         )
 
 
+def _json_list(values) -> str:
+    """A list of ints as json.dumps(indent=2) lays it out inside a step row."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+def _json_chunks(recordset: OutputRecordSet):
+    head = json.dumps(
+        {"metadata": recordset.metadata, "metrics": recordset.metrics, "steps": []}, indent=2
+    )
+    # head ends with '"steps": []\n}'; rows go between the brackets
+    yield head[: -len("]\n}")]
+    num = _Texts(lambda x: repr(_round12(x)))
+    lists = _Texts(_json_list)
+    direction = {key: f'"{text}"' for key, text in _DIRECTION_TEXT.items()}
+    rows_written = False
+    for trajectory in recordset.trajectories:
+        if not trajectory.records:
+            continue
+        trial = trajectory.trial
+        yield (",\n" if rows_written else "\n") + ",\n".join(
+            [
+                f"""    {{
+      "trial": {trial},
+      "step": {r.step},
+      "p0_before": {num[r.p0_before]},
+      "measured_bit": {r.measured_bit},
+      "chosen_machine": {lists[r.machines]},
+      "reward": {lists[r.rewards]},
+      "update_direction": {direction[r.update_direction]},
+      "update_magnitude": {num[r.update_magnitude]},
+      "p0_after": {num[r.p0_after]}
+    }}"""
+                for r in trajectory.records
+            ]
+        )
+        rows_written = True
+    yield "\n  ]\n}\n" if rows_written else "]\n}\n"
+
+
 def emit(recordset: OutputRecordSet, fmt: str, destination: Path | IO[str] | None = None) -> None:
-    """Write csv or json to a path, a file-like object, or stdout (None)."""
-    if fmt == "csv":
-        text = "\n".join(_csv_lines(recordset)) + "\n"
-    elif fmt == "json":
-        payload = {
-            "metadata": recordset.metadata,
-            "metrics": recordset.metrics,
-            "steps": list(recordset.rows),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
+    """Write csv or json to a path, a file-like object, or stdout (None).
+
+    The header goes out first, then one chunk per trial, formatted straight
+    from the step records.
+    """
+    chunks = {"csv": _csv_chunks, "json": _json_chunks}.get(fmt)
+    if chunks is None:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if destination is None:
-        sys.stdout.write(text)
-    elif hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        Path(destination).write_text(text)
+    if destination is not None and not hasattr(destination, "write"):
+        with open(destination, "w") as handle:
+            emit(recordset, fmt, handle)
+        return
+    handle = sys.stdout if destination is None else destination
+    for chunk in chunks(recordset):
+        handle.write(chunk)
 
 
 def _resolve_output(output: str | None) -> Path | None:

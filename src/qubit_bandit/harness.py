@@ -55,6 +55,11 @@ class ConfigError(ValueError):
 _SEED_LIMIT = 2**64
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: True would otherwise pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; defaults are a fair start with drift off.
@@ -107,11 +112,11 @@ class ExperimentConfig:
         ):
             if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
                 raise ConfigError(f"{name}: must be in [0, 1], got {value!r}")
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
+        if not (_is_int(self.horizon) and self.horizon >= 1):
             raise ConfigError(f"horizon: must be an integer >= 1, got {self.horizon!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_is_int(self.trials) and self.trials >= 1):
             raise ConfigError(f"trials: must be an integer >= 1, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < _SEED_LIMIT):
+        if not (_is_int(self.seed) and 0 <= self.seed < _SEED_LIMIT):
             raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
         if not (isinstance(self.drift_step, (int, float)) and 0.0 <= self.drift_step <= 1.0):
             raise ConfigError(f"drift_step: must be in [0, 1], got {self.drift_step!r}")
@@ -120,12 +125,12 @@ class ExperimentConfig:
         if self.scenario in (Scenario.SINGLE_AGENT, Scenario.COOP_PAIR):
             if self.c is None:
                 raise ConfigError(f"c: required for scenario '{self.scenario.value}'")
-            if not (isinstance(self.c, (int, float)) and self.c > 0.0):
-                raise ConfigError(f"c: must be > 0, got {self.c!r}")
+            if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0.0):
+                raise ConfigError(f"c: must be finite and > 0, got {self.c!r}")
         if self.scenario is Scenario.GHZ:
             if self.n_users is None:
                 raise ConfigError("n_users: required for scenario 'ghz'")
-            if not (isinstance(self.n_users, int) and self.n_users >= 2):
+            if not (_is_int(self.n_users) and self.n_users >= 2):
                 raise ConfigError(f"n_users: must be an integer >= 2, got {self.n_users!r}")
             if self.constants is None:
                 raise ConfigError("constants: required for scenario 'ghz'")

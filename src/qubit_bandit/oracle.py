@@ -44,11 +44,11 @@ def _check_increment(c: float) -> None:
         raise ValueError(f"c must be finite and > 0, got {c!r}")
 
 
-def _check_horizon(horizon: int, minimum: int) -> int:
-    is_integer = isinstance(horizon, (int, np.integer)) and not isinstance(horizon, bool)
-    if not (is_integer and horizon >= minimum):
-        raise ValueError(f"horizon must be an integer >= {minimum}, got {horizon!r}")
-    return int(horizon)
+def _check_count(name: str, value: int, minimum: int) -> int:
+    is_integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (is_integer and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def evolve_distribution(
     for name, value in (("p0", p0), ("p1", p1), ("p2", p2)):
         _check_probability(name, value)
     _check_increment(c)
-    horizon = _check_horizon(horizon, 0)
+    horizon = _check_count("horizon", horizon, 0)
     values, start_index, tables = _lattice_chain(p0, p1, p2, c, max_states)
     mass = np.zeros(len(values))
     mass[start_index] = 1.0
@@ -334,9 +334,8 @@ def asymptotic_claim_report(
     window. The report quantifies the comparison; it draws no conclusion.
     """
     _check_increment(c)
-    horizon = _check_horizon(horizon, 1)
-    if not (isinstance(trials, int) and trials >= 2):
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    horizon = _check_count("horizon", horizon, 1)
+    trials = _check_count("trials", trials, 2)
     if not 0.0 < window <= 1.0:
         raise ValueError(f"window must be in (0, 1], got {window!r}")
     if p1 + p2 <= 0.0:

@@ -9,6 +9,7 @@ state in, (new state, record) out, randomness only through the given stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bandit import ReplicatedBandit, TwoArmBandit, pull, pull_pair
@@ -38,15 +39,15 @@ __all__ = [
 class UpdateConfig:
     """Per-round probability increment applied after a reward outcome.
 
-    c must be strictly positive; values well below 1 keep the state off the
-    clamp boundaries for longer.
+    c must be finite and strictly positive; values well below 1 keep the
+    state off the clamp boundaries for longer.
     """
 
     c: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.c, (int, float)) and self.c > 0.0):
-            raise ValueError(f"c must be > 0, got {self.c!r}")
+        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class GhzConstants:
     """Agreement-graded increments for majority play.
 
     constants[0] applies on full agreement, constants[i] when i users
-    dissent; the sequence must be strictly decreasing and positive. A group
-    of n users needs ceil(n/2) constants.
+    dissent; the sequence must be finite, strictly decreasing and positive.
+    A group of n users needs ceil(n/2) constants.
     """
 
     constants: tuple[float, ...]
@@ -65,6 +66,8 @@ class GhzConstants:
         object.__setattr__(self, "constants", values)
         if len(values) == 0:
             raise ValueError("constants must not be empty")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"constants must all be finite, got {values}")
         if values[-1] <= 0.0:
             raise ValueError(f"constants must all be > 0, got {values}")
         for earlier, later in zip(values, values[1:]):

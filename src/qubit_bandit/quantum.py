@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 2**64
+# uniform() serves draws from a pre-drawn block that starts small (short
+# trials draw little) and doubles on each refill up to the cap
+_BLOCK_START = 16
+_BLOCK_CAP = 4096
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -105,7 +109,9 @@ class RandomStream:
     The same (seed, stream) pair always yields the same draw sequence, on any
     platform. Distinct stream indices under one root seed give statistically
     independent sequences, which is what lets trials run in any order (or
-    concurrently) without changing results.
+    concurrently) without changing results. uniform() and uniforms() share
+    one sequence however calls to them interleave; scalar draws are served
+    from a block held in reverse order, so the next draw is the last item.
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
@@ -117,16 +123,36 @@ class RandomStream:
         self.stream = stream
         generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
         self._random = generator.random
+        self._block: list[float] = []
+        self._block_size = _BLOCK_START
 
     def uniform(self) -> float:
         """One draw in [0, 1)."""
-        return self._random()
+        try:
+            return self._block.pop()
+        except IndexError:
+            # refill straight from the generator: a subclass may override
+            # uniforms(), and it must see only the draws callers ask for
+            size = self._block_size
+            self._block_size = min(2 * size, _BLOCK_CAP)
+            block = self._random(size).tolist()
+            block.reverse()
+            self._block = block
+            return block.pop()
 
     def uniforms(self, count: int) -> np.ndarray:
         """count draws in [0, 1), identical to count successive uniform() calls."""
         if not (isinstance(count, int) and count >= 0):
             raise ValueError(f"count must be a non-negative integer, got {count!r}")
-        return self._random(count)
+        block = self._block
+        held = min(count, len(block))
+        head = block[len(block) - held :]
+        del block[len(block) - held :]
+        head.reverse()
+        if held == count:
+            return np.array(head, dtype=float)
+        rest = self._random(count - held)
+        return np.concatenate((head, rest)) if held else rest
 
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream={self.stream})"

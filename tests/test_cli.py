@@ -160,6 +160,23 @@ def test_main_parse_errors_exit_2_with_single_line(capsys):
     assert err.startswith("error: c: required")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single", "--c", "inf"],
+        ["single", "--c", "nan"],
+        ["coop", "--c", "inf"],
+        ["ghz", "--n", "5", "--constants", "inf,0.04,0.02"],
+    ],
+    ids=["single-c-inf", "single-c-nan", "coop-c-inf", "ghz-constants-inf"],
+)
+def test_main_rejects_non_finite_increments(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--horizon", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: c") and err.count("\n") == 1
+
+
 def test_main_unknown_flag_exits_2(capsys):
     code, _, err = _run(capsys, ["single", "--c", "0.1", "--warp", "9"])
     assert code == 2

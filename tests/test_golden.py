@@ -3,14 +3,18 @@
 The files under tests/golden/ were written by the CLI before its emitter
 was rewritten to stream rows; any change to an emitted byte fails here.
 Each case runs in both formats. Horizons stay in the tens of rounds so the
-files stay small.
+files stay small. The JSON emitter is also checked against json.dumps of
+per-row dicts, on inputs the CLI never produces (no rows, no machines).
 """
 
+import io
+import json
 from pathlib import Path
 
 import pytest
 
-from qubit_bandit.cli import main
+from qubit_bandit.cli import _round12, build_recordset, emit, main
+from qubit_bandit.harness import ExperimentConfig, Scenario, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,3 +57,37 @@ def test_cli_output_matches_golden_bytes(case, fmt, tmp_path):
 def test_stdout_output_matches_golden_bytes(fmt, capsys):
     assert main(CASES["ghz-drift"] + ["--format", fmt]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / f"ghz-drift.{fmt}").read_bytes()
+
+
+def _reference_payload(recordset):
+    """The emitted JSON document as a dict, built the way json.dumps would see it."""
+    steps = [
+        {
+            "trial": trajectory.trial,
+            "step": r.step,
+            "p0_before": _round12(r.p0_before),
+            "measured_bit": r.measured_bit,
+            "chosen_machine": list(r.machines),
+            "reward": list(r.rewards),
+            "update_direction": "none" if r.update_direction is None else r.update_direction.value,
+            "update_magnitude": _round12(r.update_magnitude),
+            "p0_after": _round12(r.p0_after),
+        }
+        for trajectory in recordset.trajectories
+        for r in trajectory.records
+    ]
+    return {"metadata": recordset.metadata, "metrics": recordset.metrics, "steps": steps}
+
+
+@pytest.mark.parametrize(
+    "scenario,trials",
+    [(Scenario.QRNG, 2), (Scenario.SINGLE_AGENT, 0), (Scenario.SINGLE_AGENT, 3)],
+    ids=["qrng-no-machines", "no-rows", "single"],
+)
+def test_json_rows_equal_json_dumps_of_the_row_dicts(scenario, trials):
+    config = ExperimentConfig(scenario=scenario, c=0.3, horizon=4, trials=max(trials, 1), seed=2)
+    trajectories, metrics = run_experiment(config)
+    recordset = build_recordset(config, trajectories[:trials], metrics if trials else None)
+    buffer = io.StringIO()
+    emit(recordset, "json", buffer)
+    assert buffer.getvalue() == json.dumps(_reference_payload(recordset), indent=2) + "\n"

@@ -57,6 +57,10 @@ def test_user_counts_per_scenario():
         (dict(seed=-1), "seed"),
         (dict(drift_step=1.5), "drift_step"),
         (dict(window=0.0), "window"),
+        (dict(c=float("inf")), "c"),
+        (dict(horizon=True), "horizon"),
+        (dict(trials=True), "trials"),
+        (dict(seed=True), "seed"),
     ],
 )
 def test_validate_names_the_offending_field(overrides, field):
@@ -72,6 +76,8 @@ def test_validate_names_the_offending_field(overrides, field):
         (dict(constants=None), "constants"),
         (dict(constants=(0.1,)), "constants"),  # 3 users need 2 constants
         (dict(constants=(0.05, 0.1)), "constants"),
+        (dict(n_users=True), "n_users"),
+        (dict(constants=(float("inf"), 0.05)), "constants"),
     ],
 )
 def test_validate_ghz_requirements(overrides, field):

@@ -250,14 +250,21 @@ def test_evolve_accepts_numpy_integer_horizon():
     )
 
 
+def test_asymptotic_report_accepts_numpy_integer_trials():
+    report = asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=np.int64(3))
+    assert report == asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=3)
+    assert type(report.trials) is int
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: evolve_distribution(0.5, 0.8, 0.2, float("inf"), 3),
         lambda: asymptotic_claim_report(0.8, 0.2, float("inf"), horizon=10, trials=2),
         lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=True, trials=2),
+        lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=True),
     ],
-    ids=["evolve-infinite-c", "report-infinite-c", "report-bool-horizon"],
+    ids=["evolve-infinite-c", "report-infinite-c", "report-bool-horizon", "report-bool-trials"],
 )
 def test_oracle_rejects_bad_input_with_value_error(call):
     with pytest.raises(ValueError):

@@ -46,7 +46,7 @@ def _pair_env(p1, p2, n=2):
 # configuration containers
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1])
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("inf")])
 def test_update_config_requires_positive_increment(bad):
     with pytest.raises(ValueError):
         UpdateConfig(bad)

@@ -98,6 +98,24 @@ def test_uniforms_matches_repeated_scalar_draws():
     np.testing.assert_array_equal(block, singles)
 
 
+@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 5000])
+def test_interleaved_scalar_and_block_draws_follow_the_raw_generator(k):
+    # scalar draws come from a block of 16 that doubles up to 4096, so the
+    # runs below cross both sizes; odd runs leave a block partly used
+    seed, stream = 21, 4
+    scalar_runs = (0, 3, 16, 1, 40, 5000, 7)
+    raw = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+    reference = raw.random(sum(scalar_runs) + k * len(scalar_runs))
+    rng = RandomStream(seed, stream=stream)
+    drawn = []
+    for run in scalar_runs:
+        drawn += [rng.uniform() for _ in range(run)]
+        block = rng.uniforms(k)
+        assert block.shape == (k,) and block.dtype == np.float64
+        drawn += block.tolist()
+    np.testing.assert_array_equal(np.array(drawn), reference)
+
+
 @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -1)])
 def test_random_stream_rejects_out_of_range_identifiers(seed, stream):
     with pytest.raises(ValueError):
