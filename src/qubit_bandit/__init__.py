@@ -41,6 +41,7 @@ from .policies import (
     duo_conflict_assign,
     ghz_step,
     majority_update_rule,
+    play_trial,
     single_agent_step,
 )
 from .oracle import (
@@ -63,7 +64,6 @@ from .harness import (
     Scenario,
     Trajectory,
     TrialMetrics,
-    aggregate,
     chi_square_pairs_test,
     frequency_test,
     run_experiment,
@@ -104,6 +104,7 @@ __all__ = [
     "coop_pair_step",
     "majority_update_rule",
     "ghz_step",
+    "play_trial",
     # oracles
     "TransitionDistribution",
     "DriftCurve",
@@ -124,7 +125,6 @@ __all__ = [
     "Metrics",
     "RandomnessTestResult",
     "run_experiment",
-    "aggregate",
     "frequency_test",
     "chi_square_pairs_test",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .quantum import RandomStream, _check_probability
+from .quantum import RandomStream, _check_probability, _is_number
 
 __all__ = [
     "BernoulliArm",
@@ -26,7 +26,7 @@ class BernoulliArm:
     p_reward: float
 
     def __post_init__(self) -> None:
-        _check_probability("p_reward", self.p_reward)
+        object.__setattr__(self, "p_reward", _check_probability("p_reward", self.p_reward))
 
 
 class DriftMode(Enum):
@@ -42,8 +42,9 @@ class DriftModel:
     mode: DriftMode = DriftMode.BOUNDED_RANDOM_WALK
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.step_size, (int, float)) and 0.0 <= self.step_size <= 1.0):
+        if not (_is_number(self.step_size) and 0.0 <= self.step_size <= 1.0):
             raise ValueError(f"step_size must be in [0, 1], got {self.step_size!r}")
+        object.__setattr__(self, "step_size", float(self.step_size))
         if not isinstance(self.mode, DriftMode):
             raise ValueError(f"mode must be a DriftMode, got {self.mode!r}")
 

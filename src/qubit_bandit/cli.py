@@ -96,7 +96,7 @@ class EmitOptions:
 @dataclass(frozen=True)
 class OutputRecordSet:
     """Everything one run emits: replayable metadata, the trajectories whose
-    records become the rows, summary metrics."""
+    rounds become the rows, summary metrics."""
 
     metadata: dict
     trajectories: tuple[Trajectory, ...]
@@ -299,21 +299,26 @@ def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """JSON-ready view of a configuration, floats at emit precision."""
+    """JSON-ready view of a configuration.
+
+    Floats keep their exact value: json.dumps writes the shortest text that
+    reads back as the same float, which is the 12-digit text whenever that
+    reads back exactly.
+    """
     return {
         "scenario": config.scenario.value,
-        "p1": _round12(config.p1),
-        "p2": _round12(config.p2),
-        "c": None if config.c is None else _round12(config.c),
-        "constants": None if config.constants is None else [_round12(v) for v in config.constants],
+        "p1": config.p1,
+        "p2": config.p2,
+        "c": config.c,
+        "constants": None if config.constants is None else list(config.constants),
         "n_users": config.n_users,
-        "initial_p0": _round12(config.initial_p0),
-        "p_first": _round12(config.p_first),
+        "initial_p0": config.initial_p0,
+        "p_first": config.p_first,
         "horizon": config.horizon,
         "trials": config.trials,
         "seed": config.seed,
-        "drift_step": _round12(config.drift_step),
-        "window": _round12(config.window),
+        "drift_step": config.drift_step,
+        "window": config.window,
     }
 
 
@@ -390,13 +395,19 @@ def build_recordset(
     return OutputRecordSet(metadata, tuple(trajectories), metrics_dict)
 
 
+def _float_str(value: float) -> str:
+    """12 significant digits when that text reads back as value, else repr."""
+    text = f"{value:.12g}"
+    return text if float(text) == value else repr(value)
+
+
 def _meta_str(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, float):
-        return f"{value:.12g}"
+        return _float_str(value)
     if isinstance(value, (list, tuple)):
-        return ",".join(f"{float(v):.12g}" for v in value)
+        return ",".join(_float_str(float(v)) for v in value)
     return str(value)
 
 
@@ -421,6 +432,19 @@ class _Texts(dict):
 _DIRECTION_TEXT = {None: "none", **{d: d.value for d in Direction}}
 
 
+def _rounds(trajectory: Trajectory):
+    """Per round: step, p0 before, p0 after, measured bit, rewards, update pair."""
+    states = trajectory.states
+    return zip(
+        range(len(trajectory.bits)),
+        states,
+        states[1:],
+        trajectory.bits,
+        trajectory.rewards,
+        trajectory.updates,
+    )
+
+
 def _csv_chunks(recordset: OutputRecordSet):
     lines = [f"# tool={recordset.metadata['tool']}", f"# version={recordset.metadata['version']}"]
     lines += [f"# {key}={_meta_str(value)}" for key, value in recordset.metadata["config"].items()]
@@ -431,15 +455,18 @@ def _csv_chunks(recordset: OutputRecordSet):
     # f"{x:.12g}" is the text _meta_str gives _round12(x): 12 digits round-trip
     num = _Texts(lambda x: f"{x:.12g}")
     joined = _Texts(lambda values: "|".join(map(str, values)))
-    direction = _DIRECTION_TEXT
+    # an update pair is stored whole: its magnitude is a positive constant or
+    # the 0.0 of no update, never -0.0
+    update = _Texts(lambda u: f"{_DIRECTION_TEXT[u[0]]},{num[u[1]]}")
     for trajectory in recordset.trajectories:
         trial = trajectory.trial
+        # measured_bit and chosen_machine fields, by bit
+        played = [f"{bit},{joined[trajectory.machines[bit]]}" for bit in (0, 1)]
         yield "".join(
             [
-                f"{trial},{r.step},{num[r.p0_before]},{r.measured_bit},{joined[r.machines]},"
-                f"{joined[r.rewards]},{direction[r.update_direction]},"
-                f"{num[r.update_magnitude]},{num[r.p0_after]}\n"
-                for r in trajectory.records
+                f"{trial},{step},{num[before]},{played[bit]},{joined[rewards]},"
+                f"{update[change]},{num[after]}\n"
+                for step, before, after, bit, rewards, change in _rounds(trajectory)
             ]
         )
 
@@ -459,26 +486,32 @@ def _json_chunks(recordset: OutputRecordSet):
     yield head[: -len("]\n}")]
     num = _Texts(lambda x: repr(_round12(x)))
     lists = _Texts(_json_list)
-    direction = {key: f'"{text}"' for key, text in _DIRECTION_TEXT.items()}
+    update = _Texts(
+        lambda u: f'"update_direction": "{_DIRECTION_TEXT[u[0]]}",\n'
+        f'      "update_magnitude": {num[u[1]]}'
+    )
     rows_written = False
     for trajectory in recordset.trajectories:
-        if not trajectory.records:
+        if not trajectory.bits:
             continue
         trial = trajectory.trial
+        # measured_bit and chosen_machine fields, by bit
+        played = [
+            f'"measured_bit": {bit},\n      "chosen_machine": {lists[trajectory.machines[bit]]}'
+            for bit in (0, 1)
+        ]
         yield (",\n" if rows_written else "\n") + ",\n".join(
             [
                 f"""    {{
       "trial": {trial},
-      "step": {r.step},
-      "p0_before": {num[r.p0_before]},
-      "measured_bit": {r.measured_bit},
-      "chosen_machine": {lists[r.machines]},
-      "reward": {lists[r.rewards]},
-      "update_direction": {direction[r.update_direction]},
-      "update_magnitude": {num[r.update_magnitude]},
-      "p0_after": {num[r.p0_after]}
+      "step": {step},
+      "p0_before": {num[before]},
+      {played[bit]},
+      "reward": {lists[rewards]},
+      {update[change]},
+      "p0_after": {num[after]}
     }}"""
-                for r in trajectory.records
+                for step, before, after, bit, rewards, change in _rounds(trajectory)
             ]
         )
         rows_written = True
@@ -489,7 +522,7 @@ def emit(recordset: OutputRecordSet, fmt: str, destination: Path | IO[str] | Non
     """Write csv or json to a path, a file-like object, or stdout (None).
 
     The header goes out first, then one chunk per trial, formatted straight
-    from the step records.
+    from the trajectory columns.
     """
     chunks = {"csv": _csv_chunks, "json": _json_chunks}.get(fmt)
     if chunks is None:

@@ -13,17 +13,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .bandit import DriftMode, DriftModel, ReplicatedBandit, TwoArmBandit, drift_step, pull
-from .policies import (
+# bench/tracer.py wraps the per-round reference functions under these
+# harness names, so they stay importable here although the run path calls
+# play_trial instead
+from .bandit import drift_step  # noqa: F401
+from .policies import (  # noqa: F401
     GhzConstants,
     StepRecord,
-    UpdateConfig,
     coop_pair_step,
-    duo_conflict_assign,
     ghz_step,
+    play_trial,
     single_agent_step,
 )
-from .quantum import RandomStream, sample_bit
+from .quantum import Direction, RandomStream, _is_number
 
 __all__ = [
     "Scenario",
@@ -34,7 +36,6 @@ __all__ = [
     "Metrics",
     "RandomnessTestResult",
     "run_experiment",
-    "aggregate",
     "frequency_test",
     "chi_square_pairs_test",
 ]
@@ -53,11 +54,8 @@ class ConfigError(ValueError):
 
 
 _SEED_LIMIT = 2**64
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool: True would otherwise pass as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_FLOAT_FIELDS = ("p1", "p2", "c", "initial_p0", "p_first", "drift_step", "window")
+_INT_FIELDS = ("horizon", "trials", "seed", "n_users")
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,14 @@ class ExperimentConfig:
     window: float = 0.2
 
     def __post_init__(self) -> None:
+        # numpy numbers become Python ones, so the trial loop computes in
+        # float64 and the emitted metadata holds plain values; anything else
+        # stays as given for validate() to name
+        for names, integer, cast in ((_FLOAT_FIELDS, False, float), (_INT_FIELDS, True, int)):
+            for name in names:
+                value = getattr(self, name)
+                if _is_number(value, integer):
+                    object.__setattr__(self, name, cast(value))
         if self.constants is not None:
             object.__setattr__(self, "constants", tuple(float(v) for v in self.constants))
 
@@ -110,27 +116,27 @@ class ExperimentConfig:
             ("initial_p0", self.initial_p0),
             ("p_first", self.p_first),
         ):
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            if not (_is_number(value) and 0.0 <= value <= 1.0):
                 raise ConfigError(f"{name}: must be in [0, 1], got {value!r}")
-        if not (_is_int(self.horizon) and self.horizon >= 1):
+        if not (_is_number(self.horizon, integer=True) and self.horizon >= 1):
             raise ConfigError(f"horizon: must be an integer >= 1, got {self.horizon!r}")
-        if not (_is_int(self.trials) and self.trials >= 1):
+        if not (_is_number(self.trials, integer=True) and self.trials >= 1):
             raise ConfigError(f"trials: must be an integer >= 1, got {self.trials!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < _SEED_LIMIT):
+        if not (_is_number(self.seed, integer=True) and 0 <= self.seed < _SEED_LIMIT):
             raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
-        if not (isinstance(self.drift_step, (int, float)) and 0.0 <= self.drift_step <= 1.0):
+        if not (_is_number(self.drift_step) and 0.0 <= self.drift_step <= 1.0):
             raise ConfigError(f"drift_step: must be in [0, 1], got {self.drift_step!r}")
-        if not (isinstance(self.window, (int, float)) and 0.0 < self.window <= 1.0):
+        if not (_is_number(self.window) and 0.0 < self.window <= 1.0):
             raise ConfigError(f"window: must be in (0, 1], got {self.window!r}")
         if self.scenario in (Scenario.SINGLE_AGENT, Scenario.COOP_PAIR):
             if self.c is None:
                 raise ConfigError(f"c: required for scenario '{self.scenario.value}'")
-            if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0.0):
+            if not (_is_number(self.c) and math.isfinite(self.c) and self.c > 0.0):
                 raise ConfigError(f"c: must be finite and > 0, got {self.c!r}")
         if self.scenario is Scenario.GHZ:
             if self.n_users is None:
                 raise ConfigError("n_users: required for scenario 'ghz'")
-            if not (_is_int(self.n_users) and self.n_users >= 2):
+            if not (_is_number(self.n_users, integer=True) and self.n_users >= 2):
                 raise ConfigError(f"n_users: must be an integer >= 2, got {self.n_users!r}")
             if self.constants is None:
                 raise ConfigError("constants: required for scenario 'ghz'")
@@ -142,10 +148,32 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered per-round records for one trial."""
+    """One trial as per-round columns, in the layout play_trial returns.
+
+    Round t reads states[t] and leaves states[t + 1], measures bits[t],
+    sends the users to machines[bits[t]], collects rewards[t] and applies
+    updates[t], a (direction, magnitude) pair.
+    """
 
     trial: int
-    records: tuple[StepRecord, ...]
+    machines: tuple[tuple[int, ...], tuple[int, ...]]
+    states: list[float]
+    bits: list[int]
+    rewards: list[tuple[int, ...]]
+    updates: list[tuple[Direction | None, float]]
+
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        """The rounds as StepRecords, built on each access."""
+        states, machines = self.states, self.machines
+        return tuple(
+            StepRecord(
+                step, states[step], bit, machines[bit], got, direction, magnitude, states[step + 1]
+            )
+            for step, (bit, got, (direction, magnitude)) in enumerate(
+                zip(self.bits, self.rewards, self.updates)
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -210,151 +238,15 @@ class Metrics:
         }
 
 
-def _run_trial(config: ExperimentConfig, rng: RandomStream) -> tuple[StepRecord, ...]:
-    """Execute one trial; per round, policy draws come first, drift draws after."""
-    horizon = config.horizon
-    records: list[StepRecord] = []
-    drift = (
-        DriftModel(config.drift_step, DriftMode.BOUNDED_RANDOM_WALK) if config.drift_on() else None
-    )
-    scenario = config.scenario
-
-    if scenario is Scenario.QRNG:
-        p0 = config.initial_p0
-        for step in range(horizon):
-            bit = sample_bit(p0, rng)
-            records.append(StepRecord(step, p0, bit, (), (), None, 0.0, p0))
-        return tuple(records)
-
-    if scenario is Scenario.SINGLE_AGENT:
-        env = TwoArmBandit.from_probs(config.p1, config.p2, drift)
-        cfg = UpdateConfig(config.c)
-        p0 = config.initial_p0
-        for step in range(horizon):
-            p0, record = single_agent_step(p0, env, cfg, rng, step=step)
-            records.append(record)
-            if drift is not None:
-                env = drift_step(env, rng)
-        return tuple(records)
-
-    if scenario is Scenario.DUO_CONFLICT:
-        env = TwoArmBandit.from_probs(config.p1, config.p2, drift)
-        p_first = config.p_first
-        for step in range(horizon):
-            machines = duo_conflict_assign(rng, p_first)
-            rewards = (pull(env.arm(machines[0]), rng), pull(env.arm(machines[1]), rng))
-            records.append(
-                StepRecord(step, p_first, machines[0], machines, rewards, None, 0.0, p_first)
-            )
-            if drift is not None:
-                env = drift_step(env, rng)
-        return tuple(records)
-
-    if scenario is Scenario.COOP_PAIR:
-        env = ReplicatedBandit(TwoArmBandit.from_probs(config.p1, config.p2, drift), 2)
-        cfg = UpdateConfig(config.c)
-        p0 = config.initial_p0
-        for step in range(horizon):
-            p0, record = coop_pair_step(p0, env, cfg, rng, step=step)
-            records.append(record)
-            if drift is not None:
-                env = ReplicatedBandit(drift_step(env.template, rng), 2)
-        return tuple(records)
-
-    if scenario is Scenario.GHZ:
-        env = ReplicatedBandit(TwoArmBandit.from_probs(config.p1, config.p2, drift), config.n_users)
-        constants = GhzConstants(config.constants)
-        p0 = config.initial_p0
-        for step in range(horizon):
-            p0, record = ghz_step(p0, env, constants, rng, step=step)
-            records.append(record)
-            if drift is not None:
-                env = ReplicatedBandit(drift_step(env.template, rng), config.n_users)
-        return tuple(records)
-
-    raise ConfigError(f"scenario: unhandled value {scenario!r}")
-
-
-def _trial_summary(
-    trial: int,
-    records: tuple[StepRecord, ...],
-    *,
-    p1: float,
-    p2: float,
-    drift_on: bool,
-    window: float,
-    shared_pair: bool,
-) -> tuple[TrialMetrics, np.ndarray | None]:
-    """Per-trial metrics plus the per-step per-user reward curve (None without arms)."""
-    horizon = len(records)
-    n_users = len(records[0].machines)
-    has_arms = n_users > 0
-    curve = np.zeros(horizon) if has_arms else None
-    total_reward = 0
-    conflicts = 0
-    for record in records:
-        if has_arms:
-            round_reward = sum(record.rewards)
-            total_reward += round_reward
-            curve[record.step] = round_reward / n_users
-        if shared_pair and record.machines[0] == record.machines[1]:
-            conflicts += 1
-    final_p0 = records[-1].p0_after
-
-    regret: float | None = None
-    best_fraction: float | None = None
-    if has_arms and not drift_on:
-        best_p = max(p1, p2)
-        best_arm = 0 if p1 >= p2 else 1
-        regret = best_p * horizon - total_reward / n_users
-        window_steps = max(1, int(horizon * window))
-        start = horizon - window_steps
-        hits = sum(1 for record in records[start:] for m in record.machines if m == best_arm)
-        best_fraction = hits / (window_steps * n_users)
-
-    return (
-        TrialMetrics(trial, total_reward, regret, conflicts, final_p0, best_fraction),
-        curve,
-    )
-
-
-def _assemble(
-    summaries: list[TrialMetrics],
-    curves: list[np.ndarray | None],
-    *,
-    horizon: int,
-    n_users: int,
-    p1: float,
-    p2: float,
-    drift_on: bool,
-    window: float,
-) -> Metrics:
-    has_arms = n_users > 0
-    finals = np.array([s.final_p0 for s in summaries])
-    if has_arms and not drift_on:
-        best_p: float | None = max(p1, p2)
-        mean_regret = float(np.mean([s.regret for s in summaries]))
-        mean_best = float(np.mean([s.best_arm_fraction for s in summaries]))
-    else:
-        best_p = None
-        mean_regret = None
-        mean_best = None
-    mean_curve = np.mean(np.stack(curves), axis=0) if has_arms else None
-    return Metrics(
-        n_trials=len(summaries),
-        horizon=horizon,
-        n_users=n_users,
-        best_p=best_p,
-        window=window,
-        per_trial=tuple(summaries),
-        mean_total_reward=float(np.mean([s.total_reward for s in summaries])),
-        mean_regret=mean_regret,
-        total_conflicts=int(sum(s.conflicts for s in summaries)),
-        final_p0_mean=float(np.mean(finals)),
-        final_p0_std=float(np.std(finals)),
-        mean_best_arm_fraction=mean_best,
-        mean_step_reward=mean_curve,
-    )
+def _trial_inputs(config: ExperimentConfig):
+    """What play_trial needs for this scenario: start p, machines per bit, constants."""
+    n = config.users()
+    if config.scenario is Scenario.QRNG:
+        return config.initial_p0, ((), ()), ()
+    if config.scenario is Scenario.DUO_CONFLICT:
+        return config.p_first, ((0, 1), (1, 0)), ()
+    constants = config.constants if config.scenario is Scenario.GHZ else (config.c,)
+    return config.initial_p0, ((0,) * n, (1,) * n), constants
 
 
 def run_experiment(
@@ -377,82 +269,75 @@ def run_experiment(
         if sorted(order) != list(range(n_trials)):
             raise ValueError(f"trial_order must be a permutation of range({n_trials})")
 
-    shared_pair = config.scenario is Scenario.DUO_CONFLICT
+    start, machines, constants = _trial_inputs(config)
+    arms = (config.p1, config.p2)
+    horizon = config.horizon
+    n_users = config.users()
+    scored = n_users > 0 and not config.drift_on()
+    best_p = max(config.p1, config.p2)
+    best_arm = 0 if config.p1 >= config.p2 else 1
+    # users on the best machine when the measurement reads 0, and when it reads 1
+    best_users = (machines[0].count(best_arm), machines[1].count(best_arm))
+    window_steps = max(1, int(horizon * config.window))
+    window_start = horizon - window_steps
+    # bits whose users collide; only the duo's users share one machine pair
+    colliding = []
+    if config.scenario is Scenario.DUO_CONFLICT:
+        colliding = [bit for bit, (u, v) in enumerate(machines) if u == v]
+
     summaries: list[TrialMetrics | None] = [None] * n_trials
-    curves: list[np.ndarray | None] = [None] * n_trials
+    rewarded_by_trial: list[list[int] | None] = [None] * n_trials
     trajectories: list[Trajectory | None] = [None] * n_trials
     for trial in order:
-        stream = RandomStream(config.seed, stream=trial)
-        records = _run_trial(config, stream)
-        summaries[trial], curves[trial] = _trial_summary(
-            trial,
-            records,
-            p1=config.p1,
-            p2=config.p2,
-            drift_on=config.drift_on(),
-            window=config.window,
-            shared_pair=shared_pair,
+        states, bits, rewards, updates, rewarded = play_trial(
+            start,
+            machines,
+            constants,
+            arms,
+            config.drift_step,
+            horizon,
+            RandomStream(config.seed, stream=trial),
         )
+        total_reward = sum(rewarded)
+        regret: float | None = None
+        best_fraction: float | None = None
+        if scored:
+            regret = best_p * horizon - total_reward / n_users
+            zeros = bits[window_start:].count(0)
+            hits = zeros * best_users[0] + (window_steps - zeros) * best_users[1]
+            best_fraction = hits / (window_steps * n_users)
+        conflicts = sum(bits.count(bit) for bit in colliding)
+        summaries[trial] = TrialMetrics(
+            trial, total_reward, regret, conflicts, states[-1], best_fraction
+        )
+        rewarded_by_trial[trial] = rewarded
         if record_trajectories:
-            trajectories[trial] = Trajectory(trial, records)
+            trajectories[trial] = Trajectory(trial, machines, states, bits, rewards, updates)
 
-    metrics = _assemble(
-        summaries,
-        curves,
-        horizon=config.horizon,
-        n_users=config.users(),
-        p1=config.p1,
-        p2=config.p2,
-        drift_on=config.drift_on(),
-        window=config.window,
-    )
-    return (tuple(trajectories) if record_trajectories else ()), metrics
-
-
-def aggregate(
-    trajectories: Sequence[Trajectory],
-    *,
-    p1: float,
-    p2: float,
-    drift_on: bool = False,
-    window: float = 0.2,
-    shared_pair: bool = False,
-) -> Metrics:
-    """Metrics over recorded trajectories; identical to what run_experiment reports.
-
-    shared_pair marks runs where users play one physical machine pair, which
-    is the only case where same-machine picks count as conflicts.
-    """
-    if len(trajectories) == 0:
-        raise ValueError("no trajectories to aggregate")
-    summaries = []
-    curves = []
-    horizon = len(trajectories[0].records)
-    if horizon == 0:
-        raise ValueError("trajectories contain no records")
-    for trajectory in trajectories:
-        summary, curve = _trial_summary(
-            trajectory.trial,
-            trajectory.records,
-            p1=p1,
-            p2=p2,
-            drift_on=drift_on,
-            window=window,
-            shared_pair=shared_pair,
-        )
-        summaries.append(summary)
-        curves.append(curve)
-    n_users = len(trajectories[0].records[0].machines)
-    return _assemble(
-        summaries,
-        curves,
+    finals = np.array([s.final_p0 for s in summaries])
+    mean_curve = None
+    if n_users:
+        # per-user reward per round, one row per trial in trial-index order
+        curves = np.array(rewarded_by_trial, dtype=float) / n_users
+        mean_curve = np.mean(curves, axis=0)
+    metrics = Metrics(
+        n_trials=n_trials,
         horizon=horizon,
         n_users=n_users,
-        p1=p1,
-        p2=p2,
-        drift_on=drift_on,
-        window=window,
+        best_p=best_p if scored else None,
+        window=config.window,
+        per_trial=tuple(summaries),
+        mean_total_reward=float(np.mean([s.total_reward for s in summaries])),
+        mean_regret=float(np.mean([s.regret for s in summaries])) if scored else None,
+        total_conflicts=int(sum(s.conflicts for s in summaries)),
+        final_p0_mean=float(np.mean(finals)),
+        final_p0_std=float(np.std(finals)),
+        mean_best_arm_fraction=(
+            float(np.mean([s.best_arm_fraction for s in summaries])) if scored else None
+        ),
+        mean_step_reward=mean_curve,
     )
+    return (tuple(trajectories) if record_trajectories else ()), metrics
 
 
 @dataclass(frozen=True)

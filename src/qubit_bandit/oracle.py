@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bandit import TwoArmBandit
-from .policies import GhzConstants, UpdateConfig, majority_update_rule, single_agent_step
-from .quantum import RandomStream, _check_probability
+from .policies import GhzConstants, majority_update_rule, play_trial
+from .quantum import RandomStream, _check_probability, _is_number
 
 __all__ = [
     "TransitionDistribution",
@@ -39,14 +38,19 @@ __all__ = [
 _PROB_SUM_TOL = 1e-12
 
 
-def _check_increment(c: float) -> None:
-    if not (isinstance(c, (int, float)) and 0.0 < c < math.inf):
+def _check_increment(c: float) -> float:
+    if not (_is_number(c) and 0.0 < c < math.inf):
         raise ValueError(f"c must be finite and > 0, got {c!r}")
+    return float(c)
+
+
+def _check_probabilities(**values: float) -> tuple[float, ...]:
+    """The named probabilities as Python floats, in the order given."""
+    return tuple(_check_probability(name, value) for name, value in values.items())
 
 
 def _check_count(name: str, value: int, minimum: int) -> int:
-    is_integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (is_integer and value >= minimum):
+    if not (_is_number(value, integer=True) and value >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -113,9 +117,8 @@ def enumerate_single_step(p0: float, p1: float, p2: float, c: float) -> Transiti
     Enumerates the four (machine, reward) combinations, applies the clamped
     shift to each, and merges duplicates (clamping can collapse outcomes).
     """
-    for name, value in (("p0", p0), ("p1", p1), ("p2", p2)):
-        _check_probability(name, value)
-    _check_increment(c)
+    p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
+    c = _check_increment(c)
     up = min(p0 + c, 1.0)
     down = max(p0 - c, 0.0)
     moves = [(up if toward_zero else down, prob) for toward_zero, prob in _branches(p0, p1, p2)]
@@ -128,9 +131,8 @@ def enumerate_coop_step(p0: float, p1: float, p2: float, c: float) -> Transition
     Conditioned on the measured branch, the two rewards are independent
     Bernoulli draws on the same machine; a split leaves the state in place.
     """
-    for name, value in (("p0", p0), ("p1", p1), ("p2", p2)):
-        _check_probability(name, value)
-    _check_increment(c)
+    p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
+    c = _check_increment(c)
     up = min(p0 + c, 1.0)
     down = max(p0 - c, 0.0)
     moves: list[tuple[float, float]] = []
@@ -151,8 +153,7 @@ def enumerate_ghz_step(
     Conditioned on the measured branch, the rewarded count is binomial; the
     majority rule maps each count to a graded shift, a tie to no move.
     """
-    for name, value in (("p0", p0), ("p1", p1), ("p2", p2)):
-        _check_probability(name, value)
+    p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
     if not (isinstance(n, int) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
     constants.validate_for(n)
@@ -177,9 +178,8 @@ def expected_drift(p0: float, p1: float, p2: float, c: float) -> float:
     Closed form: c * (p0 * (2*p1 - 1) + (1 - p0) * (1 - 2*p2)). Positive drift
     pushes toward machine 0.
     """
-    for name, value in (("p0", p0), ("p1", p1), ("p2", p2)):
-        _check_probability(name, value)
-    _check_increment(c)
+    p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
+    c = _check_increment(c)
     return c * (p0 * (2.0 * p1 - 1.0) + (1.0 - p0) * (1.0 - 2.0 * p2))
 
 
@@ -258,9 +258,8 @@ def evolve_distribution(
     to its up and down successors, in O(states) time and memory. Raises when
     the lattice would exceed max_states.
     """
-    for name, value in (("p0", p0), ("p1", p1), ("p2", p2)):
-        _check_probability(name, value)
-    _check_increment(c)
+    p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
+    c = _check_increment(c)
     horizon = _check_count("horizon", horizon, 0)
     values, start_index, tables = _lattice_chain(p0, p1, p2, c, max_states)
     mass = np.zeros(len(values))
@@ -333,15 +332,14 @@ def asymptotic_claim_report(
     and, when the lattice fits, adds the exact chain average over the same
     window. The report quantifies the comparison; it draws no conclusion.
     """
-    _check_increment(c)
+    p1, p2, initial_p0 = _check_probabilities(p1=p1, p2=p2, initial_p0=initial_p0)
+    c = _check_increment(c)
     horizon = _check_count("horizon", horizon, 1)
     trials = _check_count("trials", trials, 2)
     if not 0.0 < window <= 1.0:
         raise ValueError(f"window must be in (0, 1], got {window!r}")
     if p1 + p2 <= 0.0:
         raise ValueError("p1 + p2 must be positive for the reward-share ratio")
-    env = TwoArmBandit.from_probs(p1, p2)
-    cfg = UpdateConfig(c)
     window_steps = max(1, int(horizon * window))
     start = horizon - window_steps
 
@@ -349,17 +347,15 @@ def asymptotic_claim_report(
     zero_rates = np.empty(trials)
     for trial in range(trials):
         rng = RandomStream(seed, stream=trial)
-        p0 = initial_p0
+        states, bits, _, _, _ = play_trial(
+            initial_p0, ((0,), (1,)), (c,), (p1, p2), 0.0, horizon, rng
+        )
+        # the states after each round of the window, summed in round order
         state_acc = 0.0
-        zero_picks = 0
-        for step in range(horizon):
-            p0, record = single_agent_step(p0, env, cfg, rng, step=step)
-            if step >= start:
-                state_acc += record.p0_after
-                if record.machines[0] == 0:
-                    zero_picks += 1
+        for state in states[start + 1 :]:
+            state_acc += state
         mean_states[trial] = state_acc / window_steps
-        zero_rates[trial] = zero_picks / window_steps
+        zero_rates[trial] = bits[start:].count(0) / window_steps
 
     mc_mean_p0 = float(np.mean(mean_states))
     mc_mean_p0_ci = float(1.96 * np.std(mean_states, ddof=1) / math.sqrt(trials))

@@ -3,8 +3,11 @@
 Four ways to play: a single agent that learns by shifting its qubit, a
 conflict-free assignment for two users sharing one machine pair, a
 cooperative update for two users on replicated pairs, and a majority-vote
-update for n users on a shared GHZ register. All are pure step functions:
-state in, (new state, record) out, randomness only through the given stream.
+update for n users on a shared GHZ register. The step functions play one
+round each: state in, (new state, record) out, randomness only through the
+given stream. play_trial runs the same rules for a whole trial of any
+scenario and returns per-round columns; it is what the harness runs, and
+the step functions are its per-round reference.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .quantum import (
     Direction,
     EntangledPair,
     RandomStream,
+    _is_number,
     measure_pair,
     sample_bit,
     shift_probability,
@@ -32,6 +36,7 @@ __all__ = [
     "coop_pair_step",
     "majority_update_rule",
     "ghz_step",
+    "play_trial",
 ]
 
 
@@ -46,8 +51,9 @@ class UpdateConfig:
     c: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.c, (int, float)) and math.isfinite(self.c) and self.c > 0.0):
+        if not (_is_number(self.c) and math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+        object.__setattr__(self, "c", float(self.c))
 
 
 @dataclass(frozen=True)
@@ -228,3 +234,115 @@ def ghz_step(
         new_p0 = shift_probability(p0, direction, magnitude)
     record = StepRecord(step, p0, bit, (bit,) * n, rewards, direction, magnitude, new_p0)
     return new_p0, record
+
+
+class _Machine:
+    """A reward probability that play_trial's drift moves in place."""
+
+    __slots__ = ("p_reward",)
+
+    def __init__(self, p_reward: float) -> None:
+        self.p_reward = p_reward
+
+
+# (n, constants) -> play_trial's update table. Building one takes a few
+# microseconds, which runs of short trials would pay per trial, so a run
+# builds it once and its trials reuse it; the tables are immutable, so every
+# caller can share them. Kept small, so a sweep over many constants does not
+# grow it.
+_MOVES: dict[tuple[int, tuple[float, ...]], tuple[tuple, tuple]] = {}
+_MOVES_KEPT = 64
+
+
+def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
+    """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
+    after reading bit. This is play_trial's only toward-zero decision."""
+    key = (n, constants)
+    moves = _MOVES.get(key)
+    if moves is None:
+        no_update = (None, 0.0)
+        moves = tuple(
+            tuple(
+                (
+                    Direction.TOWARD_ZERO if (bit == 0) == (2 * r > n) else Direction.TOWARD_ONE,
+                    float(constants[min(r, n - r)]),
+                )
+                if constants and 2 * r != n
+                else no_update
+                for r in range(n + 1)
+            )
+            for bit in (0, 1)
+        )
+        if len(_MOVES) >= _MOVES_KEPT:
+            _MOVES.clear()
+        _MOVES[key] = moves
+    return moves
+
+
+def play_trial(
+    p: float,
+    machines: tuple[tuple[int, ...], tuple[int, ...]],
+    constants: tuple[float, ...],
+    arms: tuple[float, float],
+    drift: float,
+    horizon: int,
+    rng: RandomStream,
+) -> tuple[list[float], list[int], list[tuple[int, ...]], list, list[int]]:
+    """Play one whole trial of any scenario; return it as per-round columns.
+
+    machines[b] names the machine each user plays when the measurement reads
+    b: (b,) * n for n learners, (b, 1 - b) for the duo, () for a bare
+    source. arms holds the reward probabilities of machines 0 and 1. Each
+    round, in draw-contract order:
+
+    1. one draw measures p into the bit b;
+    2. each user, in order, pulls machines[b] (one draw each);
+    3. with r rewards out of n, p moves by constants[min(r, n - r)], toward
+       zero iff (b == 0) == (2r > n), clamped to [0, 1]; a tie (2r == n)
+       moves nothing, and empty constants never move p (duo, source);
+    4. when drift > 0 and users play, each machine's reward probability
+       takes a clamped +/- drift step, machine 0 first (one draw each).
+
+    Single play is n = 1 and coop n = 2 with constants (c,); these are the
+    rules single_agent_step, coop_pair_step, ghz_step and drift_step apply
+    one round at a time. Inputs are not validated here; callers check them
+    once per run.
+
+    Returns (states, bits, rewards, updates, rewarded): states holds
+    horizon + 1 values of p, round t moving states[t] to states[t + 1];
+    updates holds one (direction, magnitude) pair per round, (None, 0.0)
+    when no update applies; rewarded is each round's reward count.
+    """
+    n = len(machines[0])
+    held = (_Machine(arms[0]), _Machine(arms[1]))
+    plays = ([held[m] for m in machines[0]], [held[m] for m in machines[1]])
+    streams = (rng,) * n
+    moves = _update_moves(n, constants)
+    toward_zero = Direction.TOWARD_ZERO
+    drifting = held if drift > 0.0 and n > 0 else ()
+    uniform = rng.uniform
+    draw = pull
+    states = [p]
+    bits: list[int] = []
+    rewards: list[tuple[int, ...]] = []
+    updates: list = []
+    rewarded: list[int] = []
+    for _ in range(horizon):
+        bit = 0 if uniform() < p else 1
+        got = tuple(map(draw, plays[bit], streams))
+        r = sum(got)
+        update = moves[bit][r]
+        direction, magnitude = update
+        if direction is toward_zero:
+            p = min(p + magnitude, 1.0)
+        elif direction is not None:
+            p = max(p - magnitude, 0.0)
+        for machine in drifting:
+            step = drift if uniform() < 0.5 else -drift
+            machine.p_reward = min(max(machine.p_reward + step, 0.0), 1.0)
+        states.append(p)
+        bits.append(bit)
+        rewards.append(got)
+        updates.append(update)
+        rewarded.append(r)
+    return states, bits, rewards, updates, rewarded

@@ -10,6 +10,7 @@ never mutates a state; callers re-prepare (or reuse) states explicitly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,10 +40,21 @@ _BLOCK_START = 16
 _BLOCK_CAP = 4096
 
 
-def _check_probability(name: str, value: float) -> None:
+def _is_number(value, integer: bool = False) -> bool:
+    """A real (or, with integer, an integral) number that is not a bool.
+
+    Python and numpy numbers both qualify; True would otherwise pass as 1.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_probability(name: str, value: float) -> float:
+    """value as a Python float, or ValueError when it is not a probability."""
     # also rejects NaN, since both comparisons come back False
-    if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    return float(value)
 
 
 class Correlation(Enum):
@@ -66,7 +78,7 @@ class Qubit:
     p0: float
 
     def __post_init__(self) -> None:
-        _check_probability("p0", self.p0)
+        object.__setattr__(self, "p0", _check_probability("p0", self.p0))
 
     @property
     def p1(self) -> float:
@@ -87,7 +99,7 @@ class EntangledPair:
     def __post_init__(self) -> None:
         if not isinstance(self.correlation, Correlation):
             raise ValueError(f"correlation must be a Correlation, got {self.correlation!r}")
-        _check_probability("p_first", self.p_first)
+        object.__setattr__(self, "p_first", _check_probability("p_first", self.p_first))
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class GhzState:
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        _check_probability("p0", self.p0)
+        object.__setattr__(self, "p0", _check_probability("p0", self.p0))
 
 
 class RandomStream:
@@ -210,7 +222,7 @@ def angle_to_p0(theta_degrees: float) -> float:
     Horizontal (0 degrees) always reads 0; vertical (90 degrees) always reads 1;
     45 degrees is the balanced source.
     """
-    if not (isinstance(theta_degrees, (int, float)) and 0.0 <= theta_degrees <= 90.0):
+    if not (_is_number(theta_degrees) and 0.0 <= theta_degrees <= 90.0):
         raise ValueError(f"theta_degrees must be in [0, 90], got {theta_degrees!r}")
     return math.cos(math.radians(theta_degrees)) ** 2
 

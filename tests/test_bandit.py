@@ -28,7 +28,7 @@ class _Scripted:
         return self._values.pop(0)
 
 
-@pytest.mark.parametrize("bad", [-0.2, 1.5, float("nan")])
+@pytest.mark.parametrize("bad", [-0.2, 1.5, float("nan"), True])
 def test_arm_rejects_invalid_reward_probability(bad):
     with pytest.raises(ValueError):
         BernoulliArm(bad)

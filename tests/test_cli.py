@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from qubit_bandit.cli import (
@@ -17,7 +18,22 @@ from qubit_bandit.cli import (
     parse_config,
     read_csv_metadata,
 )
-from qubit_bandit.harness import ConfigError, Scenario, run_experiment
+from qubit_bandit.harness import ConfigError, ExperimentConfig, Scenario, run_experiment
+
+# config floats whose 12-digit text reads back as a different float
+_LONG_DECIMALS = [
+    "single",
+    "--c",
+    "0.0123456789012345",
+    "--p1",
+    "0.712345678901234",
+    "--p0",
+    "0.30000000000000004",
+    "--horizon",
+    "3",
+    "--seed",
+    "2",
+]
 
 
 def _run(capsys, argv):
@@ -275,6 +291,35 @@ def test_csv_metadata_replays_the_exact_run(capsys):
     assert replayed == parse_config(argv)
 
 
+def test_csv_metadata_replays_long_decimals_exactly(capsys):
+    _, out, _ = _run(capsys, _LONG_DECIMALS)
+    assert "# c=0.0123456789012345" in out.splitlines()
+    replayed = config_from_metadata(read_csv_metadata(out.splitlines()))
+    assert replayed == parse_config(_LONG_DECIMALS)
+
+
+def test_numpy_config_values_emit_the_same_bytes():
+    plain = ExperimentConfig(
+        scenario=Scenario.SINGLE_AGENT, p1=0.8, p2=0.2, c=0.25, horizon=200, trials=2, seed=4
+    )
+    numpy_valued = ExperimentConfig(
+        scenario=Scenario.SINGLE_AGENT,
+        p1=np.float64(0.8),
+        p2=0.2,
+        c=np.float32(0.25),
+        horizon=np.int64(200),
+        trials=np.int64(2),
+        seed=np.int64(4),
+    )
+    for fmt in ("csv", "json"):
+        texts = []
+        for config in (plain, numpy_valued):
+            buffer = io.StringIO()
+            emit(build_recordset(config, *run_experiment(config)), fmt, buffer)
+            texts.append(buffer.getvalue())
+        assert texts[0] == texts[1]
+
+
 def test_csv_numbers_use_twelve_significant_digits(capsys):
     _, out, _ = _run(
         capsys,
@@ -314,6 +359,10 @@ def test_json_output_round_trips(capsys):
 
     replayed = config_from_metadata(payload["metadata"]["config"])
     assert replayed == parse_config(argv[: -2])
+
+    _, long_out, _ = _run(capsys, _LONG_DECIMALS + ["--format", "json"])
+    long_config = json.loads(long_out)["metadata"]["config"]
+    assert config_from_metadata(long_config) == parse_config(_LONG_DECIMALS)
 
     _, again, _ = _run(capsys, argv)
     assert out == again

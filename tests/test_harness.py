@@ -7,13 +7,10 @@ from qubit_bandit.harness import (
     ConfigError,
     ExperimentConfig,
     Scenario,
-    Trajectory,
-    aggregate,
     chi_square_pairs_test,
     frequency_test,
     run_experiment,
 )
-from qubit_bandit.policies import StepRecord
 from qubit_bandit.quantum import RandomStream, sample_bits
 
 
@@ -61,6 +58,13 @@ def test_user_counts_per_scenario():
         (dict(horizon=True), "horizon"),
         (dict(trials=True), "trials"),
         (dict(seed=True), "seed"),
+        (dict(p1=True), "p1"),
+        (dict(p2=False), "p2"),
+        (dict(initial_p0=True), "initial_p0"),
+        (dict(p_first=True), "p_first"),
+        (dict(drift_step=True), "drift_step"),
+        (dict(window=True), "window"),
+        (dict(c=True), "c"),
     ],
 )
 def test_validate_names_the_offending_field(overrides, field):
@@ -85,6 +89,19 @@ def test_validate_ghz_requirements(overrides, field):
     base.update(overrides)
     with pytest.raises(ConfigError, match=rf"^{field}:"):
         ExperimentConfig(**base).validate()
+
+
+def test_numpy_numbers_become_python_numbers():
+    config = ExperimentConfig(
+        scenario=Scenario.GHZ,
+        n_users=np.int64(3),
+        constants=(0.1, 0.05),
+        p1=np.float32(0.5),
+        horizon=np.int64(3),
+    )
+    config.validate()
+    assert (config.n_users, config.p1, config.horizon) == (3, 0.5, 3)
+    assert [type(v) for v in (config.n_users, config.p1, config.horizon)] == [int, float, int]
 
 
 def test_config_error_is_a_value_error():
@@ -138,13 +155,6 @@ def test_metrics_do_not_depend_on_recording_trajectories():
     assert silent_traj == ()
     assert len(recorded_traj) == 4
     assert silent.to_dict() == recorded.to_dict()
-
-
-def test_aggregate_matches_runner_metrics():
-    trajectories, metrics = run_experiment(_single_config())
-    rebuilt = aggregate(trajectories, p1=0.8, p2=0.2)
-    assert rebuilt.to_dict() == metrics.to_dict()
-    np.testing.assert_array_equal(rebuilt.mean_step_reward, metrics.mean_step_reward)
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +234,6 @@ def test_drift_draws_do_not_disturb_policy_draws():
 
 # ---------------------------------------------------------------------------
 # metrics arithmetic
-
-
-def _toy_trajectory(reward_rounds, horizon=10):
-    records = []
-    for step in range(horizon):
-        reward = (1, 1) if step < reward_rounds else (0, 0)
-        records.append(StepRecord(step, 0.5, 0, (0, 0), reward, None, 0.0, 0.5))
-    return Trajectory(0, tuple(records))
-
-
-def test_aggregate_regret_arithmetic():
-    # 10 rounds, 2 users, best machine pays 0.8, total reward 14:
-    # per-user regret = (10 * 0.8 * 2 - 14) / 2 = 1.0
-    metrics = aggregate([_toy_trajectory(reward_rounds=7)], p1=0.8, p2=0.3)
-    assert metrics.mean_total_reward == 14.0
-    assert metrics.mean_regret == pytest.approx(1.0, abs=1e-12)
-    assert metrics.best_p == 0.8
-    assert metrics.mean_best_arm_fraction == 1.0
-
-
-def test_aggregate_counts_conflicts_only_for_shared_pairs():
-    trajectory = _toy_trajectory(reward_rounds=5)
-    without = aggregate([trajectory], p1=0.8, p2=0.3)
-    with_shared = aggregate([trajectory], p1=0.8, p2=0.3, shared_pair=True)
-    assert without.total_conflicts == 0
-    assert with_shared.total_conflicts == 10  # both users on machine 0 every round
-
-
-def test_aggregate_rejects_empty_input():
-    with pytest.raises(ValueError):
-        aggregate([], p1=0.5, p2=0.5)
-    with pytest.raises(ValueError):
-        aggregate([Trajectory(0, ())], p1=0.5, p2=0.5)
 
 
 def test_regret_over_windows_add_up():

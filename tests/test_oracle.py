@@ -256,6 +256,19 @@ def test_asymptotic_report_accepts_numpy_integer_trials():
     assert type(report.trials) is int
 
 
+def test_oracle_computes_numpy_float_inputs_in_float64():
+    # exactly representable values, so float32 and float64 inputs are equal
+    half, quarter = np.float32(0.5), np.float32(0.25)
+    assert evolve_distribution(half, 0.75, quarter, quarter, 4) == evolve_distribution(
+        0.5, 0.75, 0.25, 0.25, 4
+    )
+    assert enumerate_single_step(half, 0.75, 0.25, np.float32(0.125)) == enumerate_single_step(
+        0.5, 0.75, 0.25, 0.125
+    )
+    report = asymptotic_claim_report(0.8, quarter, quarter, horizon=10, trials=3)
+    assert report == asymptotic_claim_report(0.8, 0.25, 0.25, horizon=10, trials=3)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -39,7 +39,7 @@ def test_qubit_holds_p0_and_exposes_complement():
     assert q.p1 == pytest.approx(0.7)
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf"), True])
 def test_qubit_rejects_invalid_probability(bad):
     with pytest.raises(ValueError):
         Qubit(bad)
