@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -51,6 +52,9 @@ _CSV_HEADER = (
     "trial,step,p0_before,measured_bit,chosen_machine,reward,"
     "update_direction,update_magnitude,p0_after"
 )
+
+# rows per write after the header: bounds the text emit holds at once
+_ROWS_PER_WRITE = 512
 
 _SCENARIOS = {
     "qrng": Scenario.QRNG,
@@ -432,17 +436,10 @@ class _Texts(dict):
 _DIRECTION_TEXT = {None: "none", **{d: d.value for d in Direction}}
 
 
-def _rounds(trajectory: Trajectory):
-    """Per round: step, p0 before, p0 after, measured bit, rewards, update pair."""
-    states = trajectory.states
-    return zip(
-        range(len(trajectory.bits)),
-        states,
-        states[1:],
-        trajectory.bits,
-        trajectory.rewards,
-        trajectory.updates,
-    )
+def _slices(rows):
+    """rows, a lazy iterable of row texts, in lists of at most _ROWS_PER_WRITE."""
+    while texts := list(islice(rows, _ROWS_PER_WRITE)):
+        yield texts
 
 
 def _csv_chunks(recordset: OutputRecordSet):
@@ -462,13 +459,13 @@ def _csv_chunks(recordset: OutputRecordSet):
         trial = trajectory.trial
         # measured_bit and chosen_machine fields, by bit
         played = [f"{bit},{joined[trajectory.machines[bit]]}" for bit in (0, 1)]
-        yield "".join(
-            [
-                f"{trial},{step},{num[before]},{played[bit]},{joined[rewards]},"
-                f"{update[change]},{num[after]}\n"
-                for step, before, after, bit, rewards, change in _rounds(trajectory)
-            ]
+        rows = (
+            f"{trial},{step},{num[before]},{played[bit]},{joined[rewards]},"
+            f"{update[change]},{num[after]}\n"
+            for step, before, after, bit, rewards, change in trajectory.rounds()
         )
+        for texts in _slices(rows):
+            yield "".join(texts)
 
 
 def _json_list(values) -> str:
@@ -492,17 +489,14 @@ def _json_chunks(recordset: OutputRecordSet):
     )
     rows_written = False
     for trajectory in recordset.trajectories:
-        if not trajectory.bits:
-            continue
         trial = trajectory.trial
         # measured_bit and chosen_machine fields, by bit
         played = [
             f'"measured_bit": {bit},\n      "chosen_machine": {lists[trajectory.machines[bit]]}'
             for bit in (0, 1)
         ]
-        yield (",\n" if rows_written else "\n") + ",\n".join(
-            [
-                f"""    {{
+        rows = (
+            f"""    {{
       "trial": {trial},
       "step": {step},
       "p0_before": {num[before]},
@@ -511,18 +505,20 @@ def _json_chunks(recordset: OutputRecordSet):
       {update[change]},
       "p0_after": {num[after]}
     }}"""
-                for step, before, after, bit, rewards, change in _rounds(trajectory)
-            ]
+            for step, before, after, bit, rewards, change in trajectory.rounds()
         )
-        rows_written = True
+        for texts in _slices(rows):
+            yield (",\n" if rows_written else "\n") + ",\n".join(texts)
+            rows_written = True
     yield "\n  ]\n}\n" if rows_written else "]\n}\n"
 
 
 def emit(recordset: OutputRecordSet, fmt: str, destination: Path | IO[str] | None = None) -> None:
     """Write csv or json to a path, a file-like object, or stdout (None).
 
-    The header goes out first, then one chunk per trial, formatted straight
-    from the trajectory columns.
+    The header goes out first, then each trial's rows in slices of at most
+    _ROWS_PER_WRITE, formatted straight from the trajectory columns, so no
+    write holds more than one slice of rows.
     """
     chunks = {"csv": _csv_chunks, "json": _json_chunks}.get(fmt)
     if chunks is None:

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import islice, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -92,7 +93,8 @@ class ExperimentConfig:
                 if _is_number(value, integer):
                     object.__setattr__(self, name, cast(value))
         if self.constants is not None:
-            object.__setattr__(self, "constants", tuple(float(v) for v in self.constants))
+            values = tuple(float(v) if _is_number(v) else v for v in self.constants)
+            object.__setattr__(self, "constants", values)
 
     def users(self) -> int:
         """Machine players per round (0 for qrng, which plays nothing)."""
@@ -131,8 +133,8 @@ class ExperimentConfig:
         if self.scenario in (Scenario.SINGLE_AGENT, Scenario.COOP_PAIR):
             if self.c is None:
                 raise ConfigError(f"c: required for scenario '{self.scenario.value}'")
-            if not (_is_number(self.c) and math.isfinite(self.c) and self.c > 0.0):
-                raise ConfigError(f"c: must be finite and > 0, got {self.c!r}")
+            if not (_is_number(self.c) and 0.0 < self.c <= 1.0):
+                raise ConfigError(f"c: must be in (0, 1], got {self.c!r}")
         if self.scenario is Scenario.GHZ:
             if self.n_users is None:
                 raise ConfigError("n_users: required for scenario 'ghz'")
@@ -151,28 +153,38 @@ class Trajectory:
     """One trial as per-round columns, in the layout play_trial returns.
 
     Round t reads states[t] and leaves states[t + 1], measures bits[t],
-    sends the users to machines[bits[t]], collects rewards[t] and applies
-    updates[t], a (direction, magnitude) pair.
+    sends the users to machines[bits[t]], collects n rewards and applies
+    updates[t], a (direction, magnitude) pair. rewards is flat, n entries a
+    round (n = len(machines[0]), 0 for a bare source), so round t's rewards
+    are rewards[n * t : n * (t + 1)]; rounds() and records regroup them, and
+    nothing else reads this layout.
     """
 
     trial: int
     machines: tuple[tuple[int, ...], tuple[int, ...]]
     states: list[float]
     bits: list[int]
-    rewards: list[tuple[int, ...]]
+    rewards: list[int]
     updates: list[tuple[Direction | None, float]]
+
+    def rounds(self) -> Iterator[tuple[int, float, float, int, tuple[int, ...], tuple]]:
+        """Per round, lazily: (step, p0 before, p0 after, measured bit,
+        reward tuple, update pair)."""
+        states = self.states
+        n = len(self.machines[0])
+        # n consumers of one iterator regroup the flat column into n-tuples
+        grouped = zip(*[iter(self.rewards)] * n) if n else repeat(())
+        return zip(
+            range(len(self.bits)), states, islice(states, 1, None), self.bits, grouped, self.updates
+        )
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
         """The rounds as StepRecords, built on each access."""
-        states, machines = self.states, self.machines
+        machines = self.machines
         return tuple(
-            StepRecord(
-                step, states[step], bit, machines[bit], got, direction, magnitude, states[step + 1]
-            )
-            for step, (bit, got, (direction, magnitude)) in enumerate(
-                zip(self.bits, self.rewards, self.updates)
-            )
+            StepRecord(step, before, bit, machines[bit], got, direction, magnitude, after)
+            for step, before, after, bit, got, (direction, magnitude) in self.rounds()
         )
 
 

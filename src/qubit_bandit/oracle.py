@@ -39,8 +39,8 @@ _PROB_SUM_TOL = 1e-12
 
 
 def _check_increment(c: float) -> float:
-    if not (_is_number(c) and 0.0 < c < math.inf):
-        raise ValueError(f"c must be finite and > 0, got {c!r}")
+    if not (_is_number(c) and 0.0 < c <= 1.0):
+        raise ValueError(f"c must be in (0, 1], got {c!r}")
     return float(c)
 
 
@@ -336,8 +336,9 @@ def asymptotic_claim_report(
     c = _check_increment(c)
     horizon = _check_count("horizon", horizon, 1)
     trials = _check_count("trials", trials, 2)
-    if not 0.0 < window <= 1.0:
+    if not (_is_number(window) and 0.0 < window <= 1.0):
         raise ValueError(f"window must be in (0, 1], got {window!r}")
+    window = float(window)
     if p1 + p2 <= 0.0:
         raise ValueError("p1 + p2 must be positive for the reward-share ratio")
     window_steps = max(1, int(horizon * window))

@@ -12,7 +12,6 @@ the step functions are its per-round reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bandit import ReplicatedBandit, TwoArmBandit, pull, pull_pair
@@ -44,15 +43,15 @@ __all__ = [
 class UpdateConfig:
     """Per-round probability increment applied after a reward outcome.
 
-    c must be finite and strictly positive; values well below 1 keep the
-    state off the clamp boundaries for longer.
+    c must be in (0, 1]; values well below 1 keep the state off the clamp
+    boundaries for longer.
     """
 
     c: float
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.c) and math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+        if not (_is_number(self.c) and 0.0 < self.c <= 1.0):
+            raise ValueError(f"c must be in (0, 1], got {self.c!r}")
         object.__setattr__(self, "c", float(self.c))
 
 
@@ -61,21 +60,23 @@ class GhzConstants:
     """Agreement-graded increments for majority play.
 
     constants[0] applies on full agreement, constants[i] when i users
-    dissent; the sequence must be finite, strictly decreasing and positive.
+    dissent; the sequence must be numbers in (0, 1], strictly decreasing.
     A group of n users needs ceil(n/2) constants.
     """
 
     constants: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.constants)
+        values = tuple(self.constants)
+        if not all(_is_number(v) for v in values):
+            raise ValueError(f"constants must all be numbers, got {values!r}")
+        values = tuple(float(v) for v in values)
         object.__setattr__(self, "constants", values)
         if len(values) == 0:
             raise ValueError("constants must not be empty")
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"constants must all be finite, got {values}")
-        if values[-1] <= 0.0:
-            raise ValueError(f"constants must all be > 0, got {values}")
+        # also rejects NaN, since both comparisons come back False
+        if not all(0.0 < v <= 1.0 for v in values):
+            raise ValueError(f"constants must all be in (0, 1], got {values}")
         for earlier, later in zip(values, values[1:]):
             if not earlier > later:
                 raise ValueError(f"constants must be strictly decreasing, got {values}")
@@ -287,7 +288,7 @@ def play_trial(
     drift: float,
     horizon: int,
     rng: RandomStream,
-) -> tuple[list[float], list[int], list[tuple[int, ...]], list, list[int]]:
+) -> tuple[list[float], list[int], list[int], list, list[int]]:
     """Play one whole trial of any scenario; return it as per-round columns.
 
     machines[b] names the machine each user plays when the measurement reads
@@ -310,8 +311,11 @@ def play_trial(
 
     Returns (states, bits, rewards, updates, rewarded): states holds
     horizon + 1 values of p, round t moving states[t] to states[t + 1];
-    updates holds one (direction, magnitude) pair per round, (None, 0.0)
-    when no update applies; rewarded is each round's reward count.
+    rewards is flat, n entries a round, round t's rewards (0 or 1, in user
+    order) at rewards[n * t : n * (t + 1)], so a trial keeps no per-round
+    tuple; updates holds one (direction, magnitude) pair per round,
+    (None, 0.0) when no update applies; rewarded is each round's reward
+    count. harness.Trajectory reads these columns back round by round.
     """
     n = len(machines[0])
     held = (_Machine(arms[0]), _Machine(arms[1]))
@@ -324,7 +328,7 @@ def play_trial(
     draw = pull
     states = [p]
     bits: list[int] = []
-    rewards: list[tuple[int, ...]] = []
+    rewards: list[int] = []
     updates: list = []
     rewarded: list[int] = []
     for _ in range(horizon):
@@ -342,7 +346,7 @@ def play_trial(
             machine.p_reward = min(max(machine.p_reward + step, 0.0), 1.0)
         states.append(p)
         bits.append(bit)
-        rewards.append(got)
+        rewards += got
         updates.append(update)
         rewarded.append(r)
     return states, bits, rewards, updates, rewarded

@@ -8,6 +8,7 @@ import pytest
 
 from qubit_bandit.cli import (
     _CSV_HEADER,
+    _ROWS_PER_WRITE,
     OUTPUT_DIR_ENV,
     build_recordset,
     config_from_metadata,
@@ -183,8 +184,19 @@ def test_main_parse_errors_exit_2_with_single_line(capsys):
         ["single", "--c", "nan"],
         ["coop", "--c", "inf"],
         ["ghz", "--n", "5", "--constants", "inf,0.04,0.02"],
+        ["single", "--c", "2"],
+        ["coop", "--c", "1.5"],
+        ["ghz", "--n", "3", "--constants", "3,2"],
     ],
-    ids=["single-c-inf", "single-c-nan", "coop-c-inf", "ghz-constants-inf"],
+    ids=[
+        "single-c-inf",
+        "single-c-nan",
+        "coop-c-inf",
+        "ghz-constants-inf",
+        "single-c-2",
+        "coop-c-1.5",
+        "ghz-constants-3-2",
+    ],
 )
 def test_main_rejects_non_finite_increments(capsys, argv):
     code, out, err = _run(capsys, argv + ["--horizon", "3"])
@@ -408,6 +420,40 @@ def test_config_to_dict_masks_unused_fields():
     assert as_dict["constants"] is None
     assert as_dict["n_users"] is None
     assert as_dict["scenario"] == "single"
+
+
+class _WriteLog:
+    """A text handle that keeps each write separately."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("fmt,row_mark", [("csv", "\n"), ("json", '"trial": ')])
+def test_emit_writes_rows_in_bounded_slices(fmt, row_mark):
+    config = ExperimentConfig(
+        scenario=Scenario.GHZ, n_users=3, constants=(0.1, 0.05), horizon=3000, trials=2, seed=4
+    )
+    trajectories, metrics = run_experiment(config)
+    log = _WriteLog()
+    emit(build_recordset(config, trajectories, metrics), fmt, log)
+    # rows in each write after the header
+    rows = [text.count(row_mark) for text in log.writes[1:]]
+    assert sum(rows) == 6000
+    assert max(rows) <= _ROWS_PER_WRITE
+    # each trial fills every slice but its last
+    assert rows.count(_ROWS_PER_WRITE) == 2 * (3000 // _ROWS_PER_WRITE)
+    # the slices join into every round, in order, with its rewards
+    text = "".join(log.writes)
+    if fmt == "json":
+        got = [(s["trial"], s["step"], s["reward"]) for s in json.loads(text)["steps"]]
+    else:
+        fields = [line.split(",") for line in text.splitlines()[-6000:]]
+        got = [(int(f[0]), int(f[1]), [int(r) for r in f[5].split("|")]) for f in fields]
+    assert got == [(t.trial, r.step, list(r.rewards)) for t in trajectories for r in t.records]
 
 
 # ---------------------------------------------------------------------------

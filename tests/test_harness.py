@@ -1,5 +1,7 @@
 """Tests for the experiment runner, metrics, and bit-stream checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,8 @@ def test_user_counts_per_scenario():
         (dict(drift_step=True), "drift_step"),
         (dict(window=True), "window"),
         (dict(c=True), "c"),
+        (dict(c=2.0), "c"),
+        (dict(c=1.0000000000000002), "c"),
     ],
 )
 def test_validate_names_the_offending_field(overrides, field):
@@ -82,6 +86,10 @@ def test_validate_names_the_offending_field(overrides, field):
         (dict(constants=(0.05, 0.1)), "constants"),
         (dict(n_users=True), "n_users"),
         (dict(constants=(float("inf"), 0.05)), "constants"),
+        (dict(constants=(True, 0.05)), "constants"),
+        (dict(constants=(0.1, "0.05")), "constants"),
+        (dict(constants=(3.0, 2.0)), "constants"),
+        (dict(constants=(1.5, 0.5)), "constants"),
     ],
 )
 def test_validate_ghz_requirements(overrides, field):
@@ -102,6 +110,11 @@ def test_numpy_numbers_become_python_numbers():
     config.validate()
     assert (config.n_users, config.p1, config.horizon) == (3, 0.5, 3)
     assert [type(v) for v in (config.n_users, config.p1, config.horizon)] == [int, float, int]
+
+
+def test_increments_of_one_are_accepted():
+    _single_config(c=1.0).validate()
+    ExperimentConfig(scenario=Scenario.GHZ, n_users=3, constants=(1.0, 0.5)).validate()
 
 
 def test_config_error_is_a_value_error():
@@ -147,6 +160,42 @@ def test_trial_order_only_permutes_execution():
 def test_trial_order_must_be_a_permutation():
     with pytest.raises(ValueError):
         run_experiment(_single_config(), trial_order=[0, 0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "config,limit",
+    [
+        (_single_config(c=0.01, horizon=20_000, trials=2), 72),
+        (
+            ExperimentConfig(
+                scenario=Scenario.GHZ,
+                n_users=5,
+                constants=(0.08, 0.04, 0.02),
+                p1=0.7,
+                p2=0.3,
+                drift_step=0.002,
+                horizon=10_000,
+                trials=2,
+                seed=3,
+            ),
+            100,
+        ),
+    ],
+    ids=["single", "ghz-drift"],
+)
+def test_trial_columns_stay_compact(config, limit):
+    # bytes a round that run_experiment's result keeps alive: a per-round
+    # reward tuple alone would cost about 56 more
+    run_experiment(config)  # fills the update-table memo outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_experiment(config)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result[0]) == config.trials
+    assert kept / (config.horizon * config.trials) < limit
 
 
 def test_metrics_do_not_depend_on_recording_trajectories():

@@ -256,6 +256,17 @@ def test_asymptotic_report_accepts_numpy_integer_trials():
     assert type(report.trials) is int
 
 
+def test_oracle_accepts_an_increment_of_one():
+    dist = evolve_distribution(0.5, 0.8, 0.2, 1.0, 2)
+    assert {state for state, _ in dist.outcomes} <= {0.0, 1.0}
+
+
+def test_asymptotic_report_stores_numpy_window_as_float():
+    report = asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=3, window=np.float64(0.5))
+    assert report == asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=3, window=0.5)
+    assert type(report.window) is float
+
+
 def test_oracle_computes_numpy_float_inputs_in_float64():
     # exactly representable values, so float32 and float64 inputs are equal
     half, quarter = np.float32(0.5), np.float32(0.25)
@@ -276,8 +287,19 @@ def test_oracle_computes_numpy_float_inputs_in_float64():
         lambda: asymptotic_claim_report(0.8, 0.2, float("inf"), horizon=10, trials=2),
         lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=True, trials=2),
         lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=True),
+        lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=2, window=True),
+        lambda: evolve_distribution(0.5, 0.8, 0.2, 2.0, 3),
+        lambda: asymptotic_claim_report(0.8, 0.2, 1.5, horizon=10, trials=2),
     ],
-    ids=["evolve-infinite-c", "report-infinite-c", "report-bool-horizon", "report-bool-trials"],
+    ids=[
+        "evolve-infinite-c",
+        "report-infinite-c",
+        "report-bool-horizon",
+        "report-bool-trials",
+        "report-bool-window",
+        "evolve-c-above-one",
+        "report-c-above-one",
+    ],
 )
 def test_oracle_rejects_bad_input_with_value_error(call):
     with pytest.raises(ValueError):

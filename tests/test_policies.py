@@ -46,10 +46,14 @@ def _pair_env(p1, p2, n=2):
 # configuration containers
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1, float("inf")])
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("inf"), 1.5, 1.0000000000000002])
 def test_update_config_requires_positive_increment(bad):
     with pytest.raises(ValueError):
         UpdateConfig(bad)
+
+
+def test_update_config_accepts_an_increment_of_one():
+    assert UpdateConfig(1.0).c == 1.0
 
 
 def test_ghz_constants_must_be_strictly_decreasing_and_positive():
@@ -62,6 +66,10 @@ def test_ghz_constants_must_be_strictly_decreasing_and_positive():
         GhzConstants((0.05, 0.1))
     with pytest.raises(ValueError):
         GhzConstants((0.1, 0.0))
+    GhzConstants((1.0, 0.5))
+    for bad in ((True,), (0.5, False), ("0.5",), (0.5, None), (3.0, 2.0), (float("nan"),)):
+        with pytest.raises(ValueError):
+            GhzConstants(bad)
 
 
 @pytest.mark.parametrize("n,needed", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 4)])
