@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .quantum import RandomStream, _check_probability, _is_number
 
 __all__ = [
     "BernoulliArm",
-    "DriftMode",
     "DriftModel",
     "TwoArmBandit",
     "ReplicatedBandit",
     "pull",
-    "pull_pair",
     "drift_step",
 ]
 
@@ -29,24 +26,16 @@ class BernoulliArm:
         object.__setattr__(self, "p_reward", _check_probability("p_reward", self.p_reward))
 
 
-class DriftMode(Enum):
-    NONE = "none"
-    BOUNDED_RANDOM_WALK = "bounded-random-walk"
-
-
 @dataclass(frozen=True)
 class DriftModel:
     """Optional nonstationarity: each round every arm takes a +/- step, clamped."""
 
     step_size: float
-    mode: DriftMode = DriftMode.BOUNDED_RANDOM_WALK
 
     def __post_init__(self) -> None:
         if not (_is_number(self.step_size) and 0.0 <= self.step_size <= 1.0):
             raise ValueError(f"step_size must be in [0, 1], got {self.step_size!r}")
         object.__setattr__(self, "step_size", float(self.step_size))
-        if not isinstance(self.mode, DriftMode):
-            raise ValueError(f"mode must be a DriftMode, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -89,25 +78,14 @@ def pull(arm: BernoulliArm, rng: RandomStream) -> int:
     return 1 if rng.uniform() < arm.p_reward else 0
 
 
-def pull_pair(env: ReplicatedBandit, choices: tuple[int, ...], rng: RandomStream) -> tuple[int, ...]:
-    """Each user plays the chosen machine on their own pair, in user order.
-
-    Consumes exactly one draw per user, so rewards are independent across
-    users even when everyone picks the same machine index.
-    """
-    if len(choices) != env.n_users:
-        raise ValueError(f"expected {env.n_users} choices, got {len(choices)}")
-    return tuple(pull(env.template.arm(choice), rng) for choice in choices)
-
-
 def drift_step(env: TwoArmBandit, rng: RandomStream) -> TwoArmBandit:
-    """Advance the environment one drift move; identity when drift is off.
+    """Advance the environment one drift move; identity when it has no drift model.
 
-    Under the bounded random walk each arm independently moves step_size up or
-    down (sign drawn for arm 0 first, then arm 1) and is clamped to [0, 1].
+    Each arm independently moves step_size up or down (sign drawn for arm 0
+    first, then arm 1) and is clamped to [0, 1].
     """
     drift = env.drift
-    if drift is None or drift.mode is DriftMode.NONE:
+    if drift is None:
         return env
     step = drift.step_size
     moved = []

@@ -327,14 +327,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def _meta_value(raw, caster):
-    if raw is None:
-        return None
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if raw in ("", "none"):
-            return None
-        return caster(raw)
-    return caster(raw)
+    """A CSV string cast to its field's type; a native JSON value as it is, so
+    ExperimentConfig checks its type (a JSON true is not a horizon)."""
+    if not isinstance(raw, str):
+        return raw
+    raw = raw.strip()
+    return None if raw in ("", "none") else caster(raw)
 
 
 def config_from_metadata(metadata: dict) -> ExperimentConfig:
@@ -346,7 +344,7 @@ def config_from_metadata(metadata: dict) -> ExperimentConfig:
     if isinstance(constants, str):
         constants = None if constants.strip() in ("", "none") else _parse_constants(constants)
     elif constants is not None:
-        constants = tuple(float(v) for v in constants)
+        constants = tuple(constants)
     return ExperimentConfig(
         scenario=Scenario(str(metadata["scenario"])),
         p1=_meta_value(metadata["p1"], float),

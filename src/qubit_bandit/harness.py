@@ -7,6 +7,7 @@ so runs are reproducible bit for bit and trial execution order is irrelevant.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, repeat
@@ -21,12 +22,13 @@ from .bandit import drift_step  # noqa: F401
 from .policies import (  # noqa: F401
     GhzConstants,
     StepRecord,
+    UpdateConfig,
     coop_pair_step,
     ghz_step,
     play_trial,
     single_agent_step,
 )
-from .quantum import Direction, RandomStream, _is_number
+from .quantum import _SEED_LIMIT, Direction, RandomStream, _check_probability, _is_number
 
 __all__ = [
     "Scenario",
@@ -54,9 +56,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
 
 
-_SEED_LIMIT = 2**64
 _FLOAT_FIELDS = ("p1", "p2", "c", "initial_p0", "p_first", "drift_step", "window")
 _INT_FIELDS = ("horizon", "trials", "seed", "n_users")
+
+
+@contextmanager
+def _naming(field: str) -> Iterator[None]:
+    """Re-raise a ValueError from the block as a ConfigError naming field once."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {str(exc).removeprefix(field + ' ')}") from exc
 
 
 @dataclass(frozen=True)
@@ -112,14 +122,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not isinstance(self.scenario, Scenario):
             raise ConfigError(f"scenario: expected a Scenario, got {self.scenario!r}")
-        for name, value in (
-            ("p1", self.p1),
-            ("p2", self.p2),
-            ("initial_p0", self.initial_p0),
-            ("p_first", self.p_first),
-        ):
-            if not (_is_number(value) and 0.0 <= value <= 1.0):
-                raise ConfigError(f"{name}: must be in [0, 1], got {value!r}")
+        for name in ("p1", "p2", "initial_p0", "p_first"):
+            with _naming(name):
+                _check_probability(name, getattr(self, name))
         if not (_is_number(self.horizon, integer=True) and self.horizon >= 1):
             raise ConfigError(f"horizon: must be an integer >= 1, got {self.horizon!r}")
         if not (_is_number(self.trials, integer=True) and self.trials >= 1):
@@ -133,8 +138,8 @@ class ExperimentConfig:
         if self.scenario in (Scenario.SINGLE_AGENT, Scenario.COOP_PAIR):
             if self.c is None:
                 raise ConfigError(f"c: required for scenario '{self.scenario.value}'")
-            if not (_is_number(self.c) and 0.0 < self.c <= 1.0):
-                raise ConfigError(f"c: must be in (0, 1], got {self.c!r}")
+            with _naming("c"):
+                UpdateConfig(self.c)
         if self.scenario is Scenario.GHZ:
             if self.n_users is None:
                 raise ConfigError("n_users: required for scenario 'ghz'")
@@ -142,10 +147,8 @@ class ExperimentConfig:
                 raise ConfigError(f"n_users: must be an integer >= 2, got {self.n_users!r}")
             if self.constants is None:
                 raise ConfigError("constants: required for scenario 'ghz'")
-            try:
+            with _naming("constants"):
                 GhzConstants(self.constants).validate_for(self.n_users)
-            except ValueError as exc:
-                raise ConfigError(f"constants: {exc}") from exc
 
 
 @dataclass(frozen=True)

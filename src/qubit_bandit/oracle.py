@@ -19,29 +19,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .policies import GhzConstants, majority_update_rule, play_trial
+from .policies import GhzConstants, UpdateConfig, majority_update_rule, play_trial
 from .quantum import RandomStream, _check_probability, _is_number
 
 __all__ = [
     "TransitionDistribution",
-    "DriftCurve",
     "AsymptoticReport",
     "enumerate_single_step",
     "enumerate_coop_step",
     "enumerate_ghz_step",
     "expected_drift",
-    "drift_curve",
     "evolve_distribution",
     "asymptotic_claim_report",
 ]
 
 _PROB_SUM_TOL = 1e-12
-
-
-def _check_increment(c: float) -> float:
-    if not (_is_number(c) and 0.0 < c <= 1.0):
-        raise ValueError(f"c must be in (0, 1], got {c!r}")
-    return float(c)
 
 
 def _check_probabilities(**values: float) -> tuple[float, ...]:
@@ -118,7 +110,7 @@ def enumerate_single_step(p0: float, p1: float, p2: float, c: float) -> Transiti
     shift to each, and merges duplicates (clamping can collapse outcomes).
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = _check_increment(c)
+    c = UpdateConfig(c).c
     up = min(p0 + c, 1.0)
     down = max(p0 - c, 0.0)
     moves = [(up if toward_zero else down, prob) for toward_zero, prob in _branches(p0, p1, p2)]
@@ -132,7 +124,7 @@ def enumerate_coop_step(p0: float, p1: float, p2: float, c: float) -> Transition
     Bernoulli draws on the same machine; a split leaves the state in place.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = _check_increment(c)
+    c = UpdateConfig(c).c
     up = min(p0 + c, 1.0)
     down = max(p0 - c, 0.0)
     moves: list[tuple[float, float]] = []
@@ -179,23 +171,8 @@ def expected_drift(p0: float, p1: float, p2: float, c: float) -> float:
     pushes toward machine 0.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = _check_increment(c)
+    c = UpdateConfig(c).c
     return c * (p0 * (2.0 * p1 - 1.0) + (1.0 - p0) * (1.0 - 2.0 * p2))
-
-
-@dataclass(frozen=True)
-class DriftCurve:
-    """expected_drift sampled over a grid of start states, for plotting or fixed-point hunting."""
-
-    c: float
-    points: tuple[tuple[float, float], ...]  # (p0, expected change)
-
-
-def drift_curve(p1: float, p2: float, c: float, points: int = 101) -> DriftCurve:
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points!r}")
-    grid = np.linspace(0.0, 1.0, points)
-    return DriftCurve(c, tuple((float(g), expected_drift(float(g), p1, p2, c)) for g in grid))
 
 
 def _lattice_chain(
@@ -259,7 +236,7 @@ def evolve_distribution(
     the lattice would exceed max_states.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = _check_increment(c)
+    c = UpdateConfig(c).c
     horizon = _check_count("horizon", horizon, 0)
     values, start_index, tables = _lattice_chain(p0, p1, p2, c, max_states)
     mass = np.zeros(len(values))
@@ -333,7 +310,7 @@ def asymptotic_claim_report(
     window. The report quantifies the comparison; it draws no conclusion.
     """
     p1, p2, initial_p0 = _check_probabilities(p1=p1, p2=p2, initial_p0=initial_p0)
-    c = _check_increment(c)
+    c = UpdateConfig(c).c
     horizon = _check_count("horizon", horizon, 1)
     trials = _check_count("trials", trials, 2)
     if not (_is_number(window) and 0.0 < window <= 1.0):

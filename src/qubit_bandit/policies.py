@@ -3,23 +3,27 @@
 Four ways to play: a single agent that learns by shifting its qubit, a
 conflict-free assignment for two users sharing one machine pair, a
 cooperative update for two users on replicated pairs, and a majority-vote
-update for n users on a shared GHZ register. The step functions play one
-round each: state in, (new state, record) out, randomness only through the
-given stream. play_trial runs the same rules for a whole trial of any
-scenario and returns per-round columns; it is what the harness runs, and
-the step functions are its per-round reference.
+update for n users on a shared GHZ register. Single and cooperative play
+are the one- and two-user cases of the majority round. The step functions
+play one round each: state in, (new state, record) out, randomness only
+through the given stream. play_trial runs the same rules for a whole trial
+of any scenario and returns per-round columns; it is what the harness runs,
+and the step functions are its per-round reference.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .bandit import ReplicatedBandit, TwoArmBandit, pull, pull_pair
+from .bandit import ReplicatedBandit, TwoArmBandit, pull
 from .quantum import (
     Correlation,
     Direction,
     EntangledPair,
     RandomStream,
+    _TOWARD_ONE,
+    _TOWARD_ZERO,
     _is_number,
     measure_pair,
     sample_bit,
@@ -111,6 +115,41 @@ class StepRecord:
     p0_after: float
 
 
+# the update direction indexed by "toward zero"
+_TOWARD = (_TOWARD_ONE, _TOWARD_ZERO)
+
+
+def _majority_round(
+    p0: float,
+    arms: TwoArmBandit,
+    n: int,
+    constants: tuple[float, ...],
+    rng: RandomStream,
+    step: int,
+) -> tuple[float, StepRecord]:
+    """One round of the clamped linear reward-penalty rule for n voting users.
+
+    Measure p0, let each user, in order, pull the machine the bit names, and
+    ask majority_update_rule for the outcome: on a tie nothing moves;
+    otherwise p0 shifts by the constant for that level of dissent, toward
+    the measured bit if the majority was rewarded and away from it if not.
+    Single play is n = 1 and coop n = 2, each with the one constant c.
+    """
+    bit = sample_bit(p0, rng)
+    arm = arms.arm(bit)
+    rewards: tuple[int, ...] = ()
+    for _ in range(n):
+        rewards += (pull(arm, rng),)
+    outcome = majority_update_rule(n, rewards)
+    if outcome is None:
+        return p0, StepRecord(step, p0, bit, (bit,) * n, rewards, None, 0.0, p0)
+    index, majority_rewarded = outcome
+    magnitude = constants[index - 1]
+    direction = _TOWARD[(bit == 0) == majority_rewarded]
+    new_p0 = shift_probability(p0, direction, magnitude)
+    return new_p0, StepRecord(step, p0, bit, (bit,) * n, rewards, direction, magnitude, new_p0)
+
+
 def single_agent_step(
     p0: float,
     env: TwoArmBandit,
@@ -125,15 +164,7 @@ def single_agent_step(
     shifts toward 1); no reward pushes the other way. Consumes exactly two
     draws: measurement, then pull.
     """
-    bit = sample_bit(p0, rng)
-    reward = pull(env.arm(bit), rng)
-    if bit == 0:
-        direction = Direction.TOWARD_ZERO if reward else Direction.TOWARD_ONE
-    else:
-        direction = Direction.TOWARD_ONE if reward else Direction.TOWARD_ZERO
-    new_p0 = shift_probability(p0, direction, cfg.c)
-    record = StepRecord(step, p0, bit, (bit,), (reward,), direction, cfg.c, new_p0)
-    return new_p0, record
+    return _majority_round(p0, env, 1, (cfg.c,), rng, step)
 
 
 def duo_conflict_assign(rng: RandomStream, p_first: float = 0.5) -> tuple[int, int]:
@@ -162,23 +193,7 @@ def coop_pair_step(
     """
     if env.n_users != 2:
         raise ValueError(f"cooperative play needs exactly 2 users, got {env.n_users}")
-    bit = sample_bit(p0, rng)
-    rewards = pull_pair(env, (bit, bit), rng)
-    total = rewards[0] + rewards[1]
-    if total == 1:
-        direction = None
-        magnitude = 0.0
-        new_p0 = p0
-    else:
-        both_rewarded = total == 2
-        if bit == 0:
-            direction = Direction.TOWARD_ZERO if both_rewarded else Direction.TOWARD_ONE
-        else:
-            direction = Direction.TOWARD_ONE if both_rewarded else Direction.TOWARD_ZERO
-        magnitude = cfg.c
-        new_p0 = shift_probability(p0, direction, magnitude)
-    record = StepRecord(step, p0, bit, (bit, bit), rewards, direction, magnitude, new_p0)
-    return new_p0, record
+    return _majority_round(p0, env.template, 2, (cfg.c,), rng, step)
 
 
 def majority_update_rule(n: int, rewards: tuple[int, ...]) -> tuple[int, bool] | None:
@@ -190,15 +205,15 @@ def majority_update_rule(n: int, rewards: tuple[int, ...]) -> tuple[int, bool] |
     """
     if len(rewards) != n:
         raise ValueError(f"expected {n} rewards, got {len(rewards)}")
-    rewarded = 0
-    for r in rewards:
-        if r not in (0, 1):
-            raise ValueError(f"rewards must be 0 or 1, got {r!r}")
-        rewarded += r
-    majority = max(rewarded, n - rewarded)
-    if 2 * majority <= n:
+    rewarded = rewards.count(1)
+    if rewarded + rewards.count(0) != n:
+        bad = next(r for r in rewards if r not in (0, 1))
+        raise ValueError(f"rewards must be 0 or 1, got {bad!r}")
+    if 2 * rewarded == n:
         return None
-    return n - majority + 1, rewarded > n - rewarded
+    majority_rewarded = 2 * rewarded > n
+    dissent = n - rewarded if majority_rewarded else rewarded
+    return dissent + 1, majority_rewarded
 
 
 def ghz_step(
@@ -218,23 +233,7 @@ def ghz_step(
     """
     n = env.n_users
     constants.validate_for(n)
-    bit = sample_bit(p0, rng)
-    rewards = pull_pair(env, (bit,) * n, rng)
-    outcome = majority_update_rule(n, rewards)
-    if outcome is None:
-        direction = None
-        magnitude = 0.0
-        new_p0 = p0
-    else:
-        index, majority_rewarded = outcome
-        magnitude = constants.constants[index - 1]
-        if bit == 0:
-            direction = Direction.TOWARD_ZERO if majority_rewarded else Direction.TOWARD_ONE
-        else:
-            direction = Direction.TOWARD_ONE if majority_rewarded else Direction.TOWARD_ZERO
-        new_p0 = shift_probability(p0, direction, magnitude)
-    record = StepRecord(step, p0, bit, (bit,) * n, rewards, direction, magnitude, new_p0)
-    return new_p0, record
+    return _majority_round(p0, env.template, n, constants.constants, rng, step)
 
 
 class _Machine:
@@ -246,38 +245,27 @@ class _Machine:
         self.p_reward = p_reward
 
 
-# (n, constants) -> play_trial's update table. Building one takes a few
-# microseconds, which runs of short trials would pay per trial, so a run
-# builds it once and its trials reuse it; the tables are immutable, so every
-# caller can share them. Kept small, so a sweep over many constants does not
-# grow it.
-_MOVES: dict[tuple[int, tuple[float, ...]], tuple[tuple, tuple]] = {}
-_MOVES_KEPT = 64
-
-
+# a run builds its update table once and its trials share it (building one
+# takes a few microseconds, which runs of short trials would pay per
+# trial); the tables are immutable, and the cache is kept small so a sweep
+# over many constants does not grow it
+@functools.lru_cache(maxsize=64)
 def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
     """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
     after reading bit. This is play_trial's only toward-zero decision."""
-    key = (n, constants)
-    moves = _MOVES.get(key)
-    if moves is None:
-        no_update = (None, 0.0)
-        moves = tuple(
-            tuple(
-                (
-                    Direction.TOWARD_ZERO if (bit == 0) == (2 * r > n) else Direction.TOWARD_ONE,
-                    float(constants[min(r, n - r)]),
-                )
-                if constants and 2 * r != n
-                else no_update
-                for r in range(n + 1)
+    no_update = (None, 0.0)
+    return tuple(
+        tuple(
+            (
+                Direction.TOWARD_ZERO if (bit == 0) == (2 * r > n) else Direction.TOWARD_ONE,
+                float(constants[min(r, n - r)]),
             )
-            for bit in (0, 1)
+            if constants and 2 * r != n
+            else no_update
+            for r in range(n + 1)
         )
-        if len(_MOVES) >= _MOVES_KEPT:
-            _MOVES.clear()
-        _MOVES[key] = moves
-    return moves
+        for bit in (0, 1)
+    )
 
 
 def play_trial(

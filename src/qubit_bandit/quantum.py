@@ -1,15 +1,16 @@
 """Two-branch quantum states and their seeded measurement.
 
-Every state here is fully described by one branch probability: a lone qubit
-by the chance of reading 0, an entangled pair or GHZ register by the weight
-of its first branch. Amplitudes are real and non-negative, so storing the
-probability directly keeps normalization exact by construction. Measurement
-never mutates a state; callers re-prepare (or reuse) states explicitly.
+Every state here is fully described by one branch probability. A lone
+qubit, and a GHZ register whose parties all read the same bit, is its
+chance p0 of reading 0, measured with sample_bit; an entangled pair is the
+weight of its first branch. Amplitudes are real and non-negative, so
+storing the probability directly keeps normalization exact by construction.
+Measurement never mutates a state; callers re-prepare (or reuse) states
+explicitly.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -19,18 +20,12 @@ import numpy as np
 __all__ = [
     "Correlation",
     "Direction",
-    "Qubit",
     "EntangledPair",
-    "GhzState",
     "RandomStream",
-    "measure_qubit",
     "measure_pair",
-    "measure_ghz",
     "sample_bit",
     "sample_bits",
     "shift_probability",
-    "angle_to_p0",
-    "p0_to_angle",
 ]
 
 _SEED_LIMIT = 2**64
@@ -71,18 +66,10 @@ class Direction(Enum):
     TOWARD_ONE = "toward1"
 
 
-@dataclass(frozen=True)
-class Qubit:
-    """Single two-level state sqrt(p0)|0> + sqrt(1-p0)|1>, stored as p0."""
-
-    p0: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p0", _check_probability("p0", self.p0))
-
-    @property
-    def p1(self) -> float:
-        return 1.0 - self.p0
+# Enum class attribute lookups are slow before Python 3.12, so the update
+# primitive compares against these
+_TOWARD_ZERO = Direction.TOWARD_ZERO
+_TOWARD_ONE = Direction.TOWARD_ONE
 
 
 @dataclass(frozen=True)
@@ -100,19 +87,6 @@ class EntangledPair:
         if not isinstance(self.correlation, Correlation):
             raise ValueError(f"correlation must be a Correlation, got {self.correlation!r}")
         object.__setattr__(self, "p_first", _check_probability("p_first", self.p_first))
-
-
-@dataclass(frozen=True)
-class GhzState:
-    """n qubits sharing two branches: all read 0 (probability p0) or all read 1."""
-
-    n: int
-    p0: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "p0", _check_probability("p0", self.p0))
 
 
 class RandomStream:
@@ -181,22 +155,12 @@ def sample_bits(p_zero: float, count: int, rng: RandomStream) -> np.ndarray:
     return (rng.uniforms(count) >= p_zero).astype(np.uint8)
 
 
-def measure_qubit(state: Qubit, rng: RandomStream) -> int:
-    """Read a qubit in the 0/1 basis. One draw; the state is not modified."""
-    return sample_bit(state.p0, rng)
-
-
 def measure_pair(state: EntangledPair, rng: RandomStream) -> tuple[int, int]:
     """Read both halves of a pair jointly. One draw selects the branch."""
     first = rng.uniform() < state.p_first
     if state.correlation is Correlation.CORRELATED:
         return (0, 0) if first else (1, 1)
     return (0, 1) if first else (1, 0)
-
-
-def measure_ghz(state: GhzState, rng: RandomStream) -> int:
-    """Read a GHZ register: the common bit every party observes. One draw."""
-    return sample_bit(state.p0, rng)
 
 
 def shift_probability(p0: float, direction: Direction, c: float) -> float:
@@ -209,25 +173,9 @@ def shift_probability(p0: float, direction: Direction, c: float) -> float:
         raise ValueError(f"shift constant must be > 0, got {c!r}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be in [0, 1], got {p0!r}")
-    if direction is Direction.TOWARD_ZERO:
+    if direction is _TOWARD_ZERO:
         return min(p0 + c, 1.0)
-    if direction is Direction.TOWARD_ONE:
+    if direction is _TOWARD_ONE:
         return max(p0 - c, 0.0)
     raise ValueError(f"direction must be a Direction, got {direction!r}")
 
-
-def angle_to_p0(theta_degrees: float) -> float:
-    """Zero-outcome probability of a linear polarization theta degrees from horizontal.
-
-    Horizontal (0 degrees) always reads 0; vertical (90 degrees) always reads 1;
-    45 degrees is the balanced source.
-    """
-    if not (_is_number(theta_degrees) and 0.0 <= theta_degrees <= 90.0):
-        raise ValueError(f"theta_degrees must be in [0, 90], got {theta_degrees!r}")
-    return math.cos(math.radians(theta_degrees)) ** 2
-
-
-def p0_to_angle(p0: float) -> float:
-    """Inverse of angle_to_p0: the polarizer angle, in degrees, producing p0."""
-    _check_probability("p0", p0)
-    return math.degrees(math.acos(math.sqrt(p0)))

@@ -5,13 +5,11 @@ import pytest
 
 from qubit_bandit.bandit import (
     BernoulliArm,
-    DriftMode,
     DriftModel,
     ReplicatedBandit,
     TwoArmBandit,
     drift_step,
     pull,
-    pull_pair,
 )
 from qubit_bandit.quantum import RandomStream
 
@@ -74,43 +72,6 @@ def test_replicated_bandit_needs_at_least_two_users(n):
         ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), n)
 
 
-def test_pull_pair_draws_in_user_order():
-    env = ReplicatedBandit(TwoArmBandit.from_probs(0.8, 0.2), 3)
-    rng = RandomStream(77)
-    manual_rng = RandomStream(77)
-    rewards = pull_pair(env, (0, 1, 0), rng)
-    manual = tuple(
-        pull(env.template.arm(choice), manual_rng) for choice in (0, 1, 0)
-    )
-    assert rewards == manual
-    assert len(rewards) == 3
-
-
-def test_pull_pair_rewards_are_independent_across_users():
-    # both users play machine 0 (p=0.5); joint outcomes should hit all four
-    # cells at roughly 1/4 each, which fails if a single draw were shared
-    env = ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), 2)
-    rng = RandomStream(6)
-    counts = np.zeros((2, 2), dtype=int)
-    n = 20_000
-    for _ in range(n):
-        a, b = pull_pair(env, (0, 0), rng)
-        counts[a, b] += 1
-    assert (counts / n > 0.22).all()
-
-
-def test_pull_pair_validates_choice_count():
-    env = ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), 2)
-    with pytest.raises(ValueError):
-        pull_pair(env, (0,), RandomStream(0))
-
-
-def test_pull_pair_validates_machine_index():
-    env = ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), 2)
-    with pytest.raises(ValueError):
-        pull_pair(env, (0, 3), RandomStream(0))
-
-
 # ---------------------------------------------------------------------------
 # drift
 
@@ -124,13 +85,6 @@ def test_drift_model_rejects_out_of_range_step():
 
 def test_drift_step_identity_without_drift():
     env = TwoArmBandit.from_probs(0.8, 0.2)
-    stub = _Scripted([])
-    assert drift_step(env, stub) is env
-    assert stub.consumed == 0
-
-
-def test_drift_step_identity_with_mode_none():
-    env = TwoArmBandit.from_probs(0.8, 0.2, DriftModel(0.05, DriftMode.NONE))
     stub = _Scripted([])
     assert drift_step(env, stub) is env
     assert stub.consumed == 0

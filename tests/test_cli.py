@@ -380,6 +380,15 @@ def test_json_output_round_trips(capsys):
     assert out == again
 
 
+@pytest.mark.parametrize("key,value", [("horizon", True), ("constants", [True, 0.25])])
+def test_json_metadata_bools_fail_validation(key, value):
+    ghz = ExperimentConfig(scenario=Scenario.GHZ, n_users=3, constants=(0.5, 0.25), horizon=3)
+    metadata = json.loads(json.dumps(config_to_dict(ghz)))
+    metadata[key] = value
+    with pytest.raises(ConfigError, match=rf"^{key}:"):
+        config_from_metadata(metadata).validate()
+
+
 def test_json_and_csv_agree_on_metrics(capsys):
     argv = ["single", "--c", "0.1", "--horizon", "10", "--seed", "3"]
     _, csv_text, _ = _run(capsys, argv)

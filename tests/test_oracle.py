@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from qubit_bandit.oracle import (
-    DriftCurve,
     TransitionDistribution,
     asymptotic_claim_report,
-    drift_curve,
     enumerate_coop_step,
     enumerate_ghz_step,
     enumerate_single_step,
@@ -145,21 +143,9 @@ def test_expected_drift_matches_enumerated_mean_away_from_clamps():
         p0 = rng.uniform(c, 1.0 - c)  # no clamping possible
         p1, p2 = rng.random(2)
         dist = enumerate_single_step(p0, p1, p2, c)
-        assert dist.mean() - p0 == pytest.approx(expected_drift(p0, p1, p2, c), abs=1e-12)
-
-
-def test_drift_curve_grid_and_bounds():
-    curve = drift_curve(0.9, 0.1, 0.05, points=11)
-    assert isinstance(curve, DriftCurve)
-    assert len(curve.points) == 11
-    assert curve.points[0][0] == 0.0
-    assert curve.points[-1][0] == 1.0
-    assert all(abs(change) <= 0.05 + 1e-15 for _, change in curve.points)
-
-
-def test_drift_curve_rejects_degenerate_grid():
-    with pytest.raises(ValueError):
-        drift_curve(0.5, 0.5, 0.1, points=1)
+        drift = expected_drift(p0, p1, p2, c)
+        assert dist.mean() - p0 == pytest.approx(drift, abs=1e-12)
+        assert abs(drift) <= c
 
 
 # ---------------------------------------------------------------------------

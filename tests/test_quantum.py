@@ -1,8 +1,5 @@
 """Tests for two-branch states, seeded measurement, and amplitude shifts."""
 
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,14 +9,8 @@ from qubit_bandit.quantum import (
     Correlation,
     Direction,
     EntangledPair,
-    GhzState,
-    Qubit,
     RandomStream,
-    angle_to_p0,
-    measure_ghz,
     measure_pair,
-    measure_qubit,
-    p0_to_angle,
     sample_bit,
     sample_bits,
     shift_probability,
@@ -33,39 +24,10 @@ magnitudes = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False)
 # state containers
 
 
-def test_qubit_holds_p0_and_exposes_complement():
-    q = Qubit(0.3)
-    assert q.p0 == 0.3
-    assert q.p1 == pytest.approx(0.7)
-
-
-@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), float("inf"), True])
-def test_qubit_rejects_invalid_probability(bad):
-    with pytest.raises(ValueError):
-        Qubit(bad)
-
-
-def test_qubit_is_immutable():
-    q = Qubit(0.5)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        q.p0 = 0.9
-
-
-@pytest.mark.parametrize("bad", [-0.5, 2.0, float("nan")])
+@pytest.mark.parametrize("bad", [-0.5, 2.0, float("nan"), float("inf"), True])
 def test_entangled_pair_rejects_invalid_probability(bad):
     with pytest.raises(ValueError):
         EntangledPair(Correlation.CORRELATED, bad)
-
-
-@pytest.mark.parametrize("n", [0, 1, -3])
-def test_ghz_state_needs_at_least_two_qubits(n):
-    with pytest.raises(ValueError):
-        GhzState(n, 0.5)
-
-
-def test_ghz_state_rejects_non_integer_size():
-    with pytest.raises(ValueError):
-        GhzState(2.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +102,7 @@ def test_sample_bits_matches_scalar_loop():
     np.testing.assert_array_equal(block, singles)
 
 
-def test_measure_qubit_frequency_tracks_p0():
+def test_sample_bits_frequency_tracks_p0():
     rng = RandomStream(123)
     n = 100_000
     zeros = np.sum(sample_bits(0.3, n, rng) == 0)
@@ -148,14 +110,12 @@ def test_measure_qubit_frequency_tracks_p0():
     assert abs(zeros / n - 0.3) < 0.008
 
 
-def test_measure_qubit_consumes_one_draw_and_leaves_state_alone():
-    q = Qubit(0.5)
+def test_sample_bit_consumes_one_draw():
     a = RandomStream(9)
     b = RandomStream(9)
-    bit = measure_qubit(q, a)
+    bit = sample_bit(0.5, a)
     b.uniform()
     assert bit in (0, 1)
-    assert q.p0 == 0.5
     assert a.uniform() == b.uniform()
 
 
@@ -190,21 +150,6 @@ def test_measure_pair_consumes_exactly_one_draw():
     measure_pair(pair, a)
     b.uniform()
     assert a.uniform() == b.uniform()
-
-
-def test_measure_ghz_consumes_one_draw_and_tracks_p0():
-    state = GhzState(5, 0.7)
-    a = RandomStream(33)
-    b = RandomStream(33)
-    bit = measure_ghz(state, a)
-    b.uniform()
-    assert bit in (0, 1)
-    assert a.uniform() == b.uniform()
-
-    rng = RandomStream(34)
-    n = 40_000
-    zeros = sum(measure_ghz(state, rng) == 0 for _ in range(n))
-    assert abs(zeros / n - 0.7) < 0.012
 
 
 # ---------------------------------------------------------------------------
@@ -256,45 +201,3 @@ def test_shift_toward_one_lowers_p0_by_at_most_c(p0, c):
     assert p0 - out <= c + 1e-15
     if p0 - c >= 0.0:
         assert out == pytest.approx(p0 - c, abs=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# angle parameterisation
-
-
-@pytest.mark.parametrize(
-    "theta,p0",
-    [
-        (0.0, 1.0),
-        (90.0, 0.0),
-        (45.0, 0.5),
-        (60.0, 0.25),
-        (30.0, 0.75),
-    ],
-)
-def test_angle_to_p0_reference_points(theta, p0):
-    assert angle_to_p0(theta) == pytest.approx(p0, abs=1e-12)
-
-
-def test_angle_for_sixty_percent_zero_share():
-    # cos^2(theta) = 0.6 at theta = acos(sqrt(0.6)) = 39.2315...
-    assert angle_to_p0(39.2315) == pytest.approx(0.6, abs=1e-5)
-    assert p0_to_angle(0.6) == pytest.approx(39.2315, abs=1e-3)
-    assert p0_to_angle(0.6) == pytest.approx(math.degrees(math.acos(math.sqrt(0.6))), abs=1e-12)
-
-
-@given(p0=probabilities)
-def test_angle_round_trip(p0):
-    assert angle_to_p0(p0_to_angle(p0)) == pytest.approx(p0, abs=1e-9)
-
-
-@pytest.mark.parametrize("theta", [-1.0, 90.5, float("nan")])
-def test_angle_to_p0_rejects_out_of_range(theta):
-    with pytest.raises(ValueError):
-        angle_to_p0(theta)
-
-
-@pytest.mark.parametrize("p0", [-0.1, 1.0001])
-def test_p0_to_angle_rejects_out_of_range(p0):
-    with pytest.raises(ValueError):
-        p0_to_angle(p0)

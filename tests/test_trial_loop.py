@@ -219,6 +219,6 @@ def test_asymptotic_report_matches_the_per_round_reference():
 
 
 def test_update_tables_stay_bounded_over_a_sweep_of_constants():
-    for i in range(3 * policies._MOVES_KEPT):
+    for i in range(3 * 64):
         policies._update_moves(1, (0.001 * (i + 1),))
-    assert len(policies._MOVES) <= policies._MOVES_KEPT
+    assert policies._update_moves.cache_info().currsize <= 64
