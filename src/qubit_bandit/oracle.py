@@ -3,8 +3,9 @@
 Everything here is computed by enumeration rather than simulation: the
 one-step outcome distribution of single-agent play, its expected state
 change, the exact state distribution after T rounds (the clamped update
-walks a finite lattice with two successors per state, so mass moves through
-successor tables), and a report that puts the long-run behavior next to the
+walks a finite lattice, known in closed form, with an up and a down
+successor per state, so each round moves all mass in one scatter along two
+successor columns), and a report that puts the long-run behavior next to the
 simple reward-share ratio p1 / (p1 + p2) without asserting that they agree.
 
 The enumerators deliberately re-derive the clamped update inline instead of
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .policies import GhzConstants, UpdateConfig, majority_update_rule, play_trial
+from .policies import GhzConstants, UpdateConfig, play_trial
 from .quantum import RandomStream, _check_probability, _is_number
 
 __all__ = [
@@ -153,13 +154,12 @@ def enumerate_ghz_step(
     for bit, branch_prob, q in ((0, p0, p1), (1, 1.0 - p0, p2)):
         for rewarded in range(n + 1):
             prob = branch_prob * math.comb(n, rewarded) * q**rewarded * (1.0 - q) ** (n - rewarded)
-            outcome = majority_update_rule(n, (1,) * rewarded + (0,) * (n - rewarded))
-            if outcome is None:
+            if 2 * rewarded == n:
                 moves.append((p0, prob))
                 continue
-            index, majority_rewarded = outcome
-            step = constants.constants[index - 1]
-            toward_zero = (bit == 0) == majority_rewarded
+            # the dissenting count picks the constant; a rewarded majority moves toward the bit
+            step = constants.constants[min(rewarded, n - rewarded)]
+            toward_zero = (bit == 0) == (2 * rewarded > n)
             moves.append((min(p0 + step, 1.0) if toward_zero else max(p0 - step, 0.0), prob))
     return _merged(moves)
 
@@ -177,51 +177,44 @@ def expected_drift(p0: float, p1: float, p2: float, c: float) -> float:
 
 def _lattice_chain(
     p0: float, p1: float, p2: float, c: float, max_states: int
-) -> tuple[np.ndarray, int, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Reachable clamped lattice and its successor tables.
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Reachable clamped lattice and its two successor columns.
 
     States are exact integers over the common dyadic denominator of the
     floats p0 and c, clamped to [0, den], so points reached along different
-    paths always merge. Returns (sorted state values as floats, index of the
-    start state, a (target index, probability) column pair per _branches).
+    paths always merge. Down moves walk the start's residue class mod step
+    to 0, up moves walk the multiples of step from 0 to den, and down moves
+    walk den's residue class back to 0; a move never leaves these three
+    classes, so the reachable set is their union. Returns
+    (sorted state values as floats, index of the start state, up targets
+    followed by down targets, (2, states) up and down weights).
     """
     den = math.lcm(Fraction(p0).denominator, Fraction(c).denominator)
     start, step = int(Fraction(p0) * den), int(Fraction(c) * den)
-
-    def up(n: int) -> int:
-        return min(n + step, den)
-
-    def down(n: int) -> int:
-        return max(n - step, 0)
-
-    states = {start}
-    frontier = [start]
-    while frontier:
-        n = frontier.pop()
-        for nxt in (up(n), down(n)):
-            if nxt not in states:
-                states.add(nxt)
-                frontier.append(nxt)
-        if len(states) > max_states:
-            raise ValueError(
-                f"reachable state lattice exceeds max_states={max_states}; "
-                "raise the bound or use a larger c"
-            )
-    order = sorted(states)
+    walks = [range(anchor % step, den + 1, step) for anchor in (start, 0, den)]
+    # the union is at least as long as any walk, so a long walk fails before a set is built
+    order = None if max(map(len, walks)) > max_states else sorted(set().union(*walks))
+    if order is None or len(order) > max_states:
+        raise ValueError(
+            f"reachable state lattice exceeds max_states={max_states}; "
+            "raise the bound or use a larger c"
+        )
     index = {n: i for i, n in enumerate(order)}
-    successor = {
-        True: np.array([index[up(n)] for n in order]),
-        False: np.array([index[down(n)] for n in order]),
-    }
+    targets = np.array(
+        [index[min(n + step, den)] for n in order] + [index[max(n - step, 0)] for n in order]
+    )
     # int / int rounds once, exactly like float(Fraction(n, den))
     values = np.array([n / den for n in order])
-    tables = tuple((successor[toward], prob) for toward, prob in _branches(values, p1, p2))
-    return values, index[start], tables
+    branches = _branches(values, p1, p2)
+    # summed in _branches order from zero, as _merged does, so one round of the
+    # chain equals enumerate_single_step bit for bit
+    weights = np.array([sum(p for toward, p in branches if toward is up) for up in (True, False)])
+    return values, index[start], targets, weights
 
 
-def _step(mass: np.ndarray, tables: tuple[tuple[np.ndarray, np.ndarray], ...]) -> np.ndarray:
+def _step(mass: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Advance a distribution over lattice states by one round of the chain."""
-    return sum(np.bincount(target, mass * prob, len(mass)) for target, prob in tables)
+    return np.bincount(targets, (weights * mass).ravel(), len(mass))
 
 
 def evolve_distribution(
@@ -231,18 +224,20 @@ def evolve_distribution(
 
     Every reachable state is the start value plus an integer multiple of c,
     re-anchored at a boundary after clamping, so the chain lives on a finite
-    lattice; each round scatters every state's mass along its four branches
-    to its up and down successors, in O(states) time and memory. Raises when
-    the lattice would exceed max_states.
+    lattice, built in closed form; each round scatters every state's mass to
+    its up and down successors in one bincount over two successor columns,
+    in O(states) time and memory. Raises when the lattice would exceed
+    max_states.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
     c = UpdateConfig(c).c
     horizon = _check_count("horizon", horizon, 0)
-    values, start_index, tables = _lattice_chain(p0, p1, p2, c, max_states)
+    max_states = _check_count("max_states", max_states, 1)
+    values, start_index, targets, weights = _lattice_chain(p0, p1, p2, c, max_states)
     mass = np.zeros(len(values))
     mass[start_index] = 1.0
     for _ in range(horizon):
-        mass = _step(mass, tables)
+        mass = _step(mass, targets, weights)
     # distinct rationals can collapse to one float once a boundary re-anchors
     # the lattice within an ulp of an older point; merge their masses
     return _merged(list(zip(values.tolist(), mass.tolist())))
@@ -313,6 +308,7 @@ def asymptotic_claim_report(
     c = UpdateConfig(c).c
     horizon = _check_count("horizon", horizon, 1)
     trials = _check_count("trials", trials, 2)
+    max_states = _check_count("max_states", max_states, 1)
     if not (_is_number(window) and 0.0 < window <= 1.0):
         raise ValueError(f"window must be in (0, 1], got {window!r}")
     window = float(window)
@@ -341,7 +337,7 @@ def asymptotic_claim_report(
     mc_zero_rate_ci = float(1.96 * np.std(zero_rates, ddof=1) / math.sqrt(trials))
 
     try:
-        values, start_index, tables = _lattice_chain(initial_p0, p1, p2, c, max_states)
+        values, start_index, targets, weights = _lattice_chain(initial_p0, p1, p2, c, max_states)
     except ValueError:
         chain_mean_p0 = None
     else:
@@ -349,7 +345,7 @@ def asymptotic_claim_report(
         mass[start_index] = 1.0
         acc = 0.0
         for step in range(horizon):
-            mass = _step(mass, tables)
+            mass = _step(mass, targets, weights)
             if step >= start:
                 acc += float(values @ mass)
         chain_mean_p0 = acc / window_steps

@@ -1,8 +1,14 @@
 """Tests for the enumeration references: one-step laws, chain evolution, drift."""
 
+import itertools
+import math
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from qubit_bandit import oracle
 from qubit_bandit.oracle import (
     TransitionDistribution,
     asymptotic_claim_report,
@@ -123,6 +129,36 @@ def test_enumerate_ghz_step_even_group_keeps_tie_mass_in_place():
     assert _mass_near(dist, 0.45) == pytest.approx(0.375, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_enumerate_ghz_step_matches_a_sum_over_every_reward_vector(n):
+    constants = GhzConstants((0.3, 0.2, 0.1)[: (n + 1) // 2])
+    rng = random.Random(n)
+    for p0, p1, p2 in [(0.5, 0.5, 0.5), (0.05, 0.9, 0.2)] + [
+        (rng.random(), rng.random(), rng.random()) for _ in range(20)
+    ]:
+        by_vector = {}
+        for bit, branch_prob, q in ((0, p0, p1), (1, 1.0 - p0, p2)):
+            for rewards in itertools.product((0, 1), repeat=n):
+                prob = branch_prob * math.prod(q if r else 1.0 - q for r in rewards)
+                yes = sum(rewards)
+                if 2 * yes == n:
+                    nxt = p0
+                else:
+                    rewarded_majority = 2 * yes > n
+                    step = constants.constants[n - yes if rewarded_majority else yes]
+                    if (bit == 0) == rewarded_majority:
+                        nxt = min(p0 + step, 1.0)
+                    else:
+                        nxt = max(p0 - step, 0.0)
+                by_vector[nxt] = by_vector.get(nxt, 0.0) + prob
+        enumerated = enumerate_ghz_step(p0, p1, p2, n, constants).probabilities()
+        assert enumerated.keys() == {s for s, prob in by_vector.items() if prob > 0.0}
+        for state, prob in enumerated.items():
+            assert prob == pytest.approx(by_vector[state], abs=1e-15)
+    # the enumerators re-derive the majority rule instead of calling the policy code
+    assert not hasattr(oracle, "majority_update_rule")
+
+
 # ---------------------------------------------------------------------------
 # expected drift
 
@@ -179,7 +215,7 @@ def test_evolve_stays_on_the_shifted_lattice():
         assert min(offsets) < 1e-9
 
 
-@pytest.mark.parametrize("horizon", [2, 25])
+@pytest.mark.parametrize("horizon", [2, 25, 40])
 def test_evolve_two_steps_by_hand(horizon):
     # one step: 0.6 w.p. 0.8, 0.4 w.p. 0.2; compose each branch once more per
     # round. By round 5 the walk reaches both clamps. Composing the float
@@ -198,6 +234,7 @@ def test_evolve_two_steps_by_hand(horizon):
     assert exact.keys() == by_hand.keys()
     for state, prob in exact.items():
         assert prob == pytest.approx(by_hand[state], abs=1e-12)
+    assert 0.5 * sum(abs(prob - by_hand[state]) for state, prob in exact.items()) <= 1e-12
 
 
 def test_evolve_long_horizon_boundary_mass_is_geometric():
@@ -222,6 +259,54 @@ def test_evolve_is_deterministic():
 def test_evolve_guards_against_lattice_blowup():
     with pytest.raises(ValueError):
         evolve_distribution(0.5, 0.8, 0.2, 0.001, 10, max_states=50)
+
+
+def _frontier_lattice(p0, c):
+    """Every reachable lattice integer, found by walking up and down moves."""
+    den = math.lcm(Fraction(p0).denominator, Fraction(c).denominator)
+    start, step = int(Fraction(p0) * den), int(Fraction(c) * den)
+    states = {start}
+    frontier = [start]
+    while frontier:
+        n = frontier.pop()
+        for nxt in (min(n + step, den), max(n - step, 0)):
+            if nxt not in states:
+                states.add(nxt)
+                frontier.append(nxt)
+    return [n / den for n in sorted(states)], sorted(states).index(start)
+
+
+def _lattice_cases():
+    rng = random.Random(7)
+    cases = [(0.0, 0.3), (1.0, 0.3), (0.37, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.1), (0.3, 0.07)]
+    for _ in range(40):
+        # random floats: c is generally not commensurate with p0
+        cases.append((rng.random(), rng.uniform(0.02, 1.0)))
+        cases.append((round(rng.random(), 2), round(rng.uniform(0.01, 0.3), 2)))
+    return cases
+
+
+@pytest.mark.parametrize("p0,c", _lattice_cases())
+def test_closed_form_lattice_equals_the_frontier_walk(p0, c):
+    values, start_index, targets, weights = oracle._lattice_chain(p0, 0.7, 0.4, c, 10**6)
+    expected_values, expected_start = _frontier_lattice(p0, c)
+    assert values.tolist() == expected_values
+    assert start_index == expected_start
+    assert targets.shape == (2 * len(values),) and weights.shape == (2, len(values))
+    # up and down moves keep every state's mass
+    assert np.allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p0,c", [(0.5, 0.1), (0.37, 0.05), (0.3, 0.07), (0.0, 1.0)])
+def test_lattice_guard_is_exact_at_the_lattice_size(p0, c):
+    size = len(_frontier_lattice(p0, c)[0])
+    assert len(oracle._lattice_chain(p0, 0.7, 0.4, c, size)[0]) == size
+    evolve_distribution(p0, 0.7, 0.4, c, 3, max_states=size)
+    if size > 1:
+        with pytest.raises(ValueError, match="max_states"):
+            oracle._lattice_chain(p0, 0.7, 0.4, c, size - 1)
+        with pytest.raises(ValueError, match="max_states"):
+            evolve_distribution(p0, 0.7, 0.4, c, 3, max_states=size - 1)
 
 
 @pytest.mark.parametrize("horizon", [-1, True])
@@ -276,6 +361,14 @@ def test_oracle_computes_numpy_float_inputs_in_float64():
         lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=2, window=True),
         lambda: evolve_distribution(0.5, 0.8, 0.2, 2.0, 3),
         lambda: asymptotic_claim_report(0.8, 0.2, 1.5, horizon=10, trials=2),
+        *[
+            lambda bad=bad: evolve_distribution(0.5, 0.8, 0.2, 0.1, 3, max_states=bad)
+            for bad in (True, "a", None, 2.5, 0)
+        ],
+        *[
+            lambda bad=bad: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=2, max_states=bad)
+            for bad in (True, "a", None, 2.5, 0)
+        ],
     ],
     ids=[
         "evolve-infinite-c",
@@ -285,6 +378,7 @@ def test_oracle_computes_numpy_float_inputs_in_float64():
         "report-bool-window",
         "evolve-c-above-one",
         "report-c-above-one",
+        *[f"{fn}-max-states-{bad!r}" for fn in ("evolve", "report") for bad in (True, "a", None, 2.5, 0)],
     ],
 )
 def test_oracle_rejects_bad_input_with_value_error(call):
