@@ -273,7 +273,8 @@ def _frontier_lattice(p0, c):
             if nxt not in states:
                 states.add(nxt)
                 frontier.append(nxt)
-    return [n / den for n in sorted(states)], sorted(states).index(start)
+    order = sorted(states)
+    return [n / den for n in order], order.index(start)
 
 
 def _lattice_cases():
@@ -366,7 +367,9 @@ def test_oracle_computes_numpy_float_inputs_in_float64():
             for bad in (True, "a", None, 2.5, 0)
         ],
         *[
-            lambda bad=bad: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=2, max_states=bad)
+            lambda bad=bad: asymptotic_claim_report(
+                0.8, 0.2, 0.1, horizon=10, trials=2, max_states=bad
+            )
             for bad in (True, "a", None, 2.5, 0)
         ],
     ],
@@ -378,7 +381,11 @@ def test_oracle_computes_numpy_float_inputs_in_float64():
         "report-bool-window",
         "evolve-c-above-one",
         "report-c-above-one",
-        *[f"{fn}-max-states-{bad!r}" for fn in ("evolve", "report") for bad in (True, "a", None, 2.5, 0)],
+        *[
+            f"{fn}-max-states-{bad!r}"
+            for fn in ("evolve", "report")
+            for bad in (True, "a", None, 2.5, 0)
+        ],
     ],
 )
 def test_oracle_rejects_bad_input_with_value_error(call):
