@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quantum import RandomStream, _check_probability, _is_number
+from .quantum import RandomStream, _check_count, _check_probability
 
 __all__ = [
     "BernoulliArm",
@@ -33,9 +33,7 @@ class DriftModel:
     step_size: float
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.step_size) and 0.0 <= self.step_size <= 1.0):
-            raise ValueError(f"step_size must be in [0, 1], got {self.step_size!r}")
-        object.__setattr__(self, "step_size", float(self.step_size))
+        object.__setattr__(self, "step_size", _check_probability("step_size", self.step_size))
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,7 @@ class ReplicatedBandit:
     def __post_init__(self) -> None:
         if not isinstance(self.template, TwoArmBandit):
             raise ValueError(f"template must be a TwoArmBandit, got {self.template!r}")
-        if not (isinstance(self.n_users, int) and self.n_users >= 2):
-            raise ValueError(f"n_users must be an integer >= 2, got {self.n_users!r}")
+        object.__setattr__(self, "n_users", _check_count("n_users", self.n_users, 2))
 
 
 def pull(arm: BernoulliArm, rng: RandomStream) -> int:

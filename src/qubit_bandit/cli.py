@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import IO, Sequence
@@ -232,10 +232,8 @@ def _parse_file_value(key: str, raw: str):
         raise ConfigError(f"config: invalid value for '{key}': {raw!r}") from exc
 
 
-def _parse_constants(value) -> tuple[float, ...]:
-    if isinstance(value, (tuple, list)):
-        return tuple(float(v) for v in value)
-    parts = [p.strip() for p in str(value).split(",") if p.strip()]
+def _parse_constants(value: str) -> tuple[float, ...]:
+    parts = [p.strip() for p in value.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"constants: expected comma-separated floats, got {value!r}")
     try:
@@ -309,21 +307,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     reads back as the same float, which is the 12-digit text whenever that
     reads back exactly.
     """
-    return {
-        "scenario": config.scenario.value,
-        "p1": config.p1,
-        "p2": config.p2,
-        "c": config.c,
-        "constants": None if config.constants is None else list(config.constants),
-        "n_users": config.n_users,
-        "initial_p0": config.initial_p0,
-        "p_first": config.p_first,
-        "horizon": config.horizon,
-        "trials": config.trials,
-        "seed": config.seed,
-        "drift_step": config.drift_step,
-        "window": config.window,
-    }
+    return {**asdict(config), "scenario": config.scenario.value}
 
 
 def _meta_value(raw, caster):

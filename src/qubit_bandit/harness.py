@@ -22,13 +22,20 @@ from .bandit import drift_step  # noqa: F401
 from .policies import (  # noqa: F401
     GhzConstants,
     StepRecord,
-    UpdateConfig,
     coop_pair_step,
     ghz_step,
     play_trial,
     single_agent_step,
 )
-from .quantum import _SEED_LIMIT, Direction, RandomStream, _check_probability, _is_number
+from .quantum import (
+    Direction,
+    RandomStream,
+    _check_count,
+    _check_fraction,
+    _check_probability,
+    _check_seed,
+    _is_number,
+)
 
 __all__ = [
     "Scenario",
@@ -125,26 +132,25 @@ class ExperimentConfig:
         for name in ("p1", "p2", "initial_p0", "p_first"):
             with _naming(name):
                 _check_probability(name, getattr(self, name))
-        if not (_is_number(self.horizon, integer=True) and self.horizon >= 1):
-            raise ConfigError(f"horizon: must be an integer >= 1, got {self.horizon!r}")
-        if not (_is_number(self.trials, integer=True) and self.trials >= 1):
-            raise ConfigError(f"trials: must be an integer >= 1, got {self.trials!r}")
-        if not (_is_number(self.seed, integer=True) and 0 <= self.seed < _SEED_LIMIT):
-            raise ConfigError(f"seed: must be an integer in [0, 2**64), got {self.seed!r}")
-        if not (_is_number(self.drift_step) and 0.0 <= self.drift_step <= 1.0):
-            raise ConfigError(f"drift_step: must be in [0, 1], got {self.drift_step!r}")
-        if not (_is_number(self.window) and 0.0 < self.window <= 1.0):
-            raise ConfigError(f"window: must be in (0, 1], got {self.window!r}")
+        for name in ("horizon", "trials"):
+            with _naming(name):
+                _check_count(name, getattr(self, name), 1)
+        with _naming("seed"):
+            _check_seed(self.seed)
+        with _naming("drift_step"):
+            _check_probability("drift_step", self.drift_step)
+        with _naming("window"):
+            _check_fraction("window", self.window)
         if self.scenario in (Scenario.SINGLE_AGENT, Scenario.COOP_PAIR):
             if self.c is None:
                 raise ConfigError(f"c: required for scenario '{self.scenario.value}'")
             with _naming("c"):
-                UpdateConfig(self.c)
+                _check_fraction("c", self.c)
         if self.scenario is Scenario.GHZ:
             if self.n_users is None:
                 raise ConfigError("n_users: required for scenario 'ghz'")
-            if not (_is_number(self.n_users, integer=True) and self.n_users >= 2):
-                raise ConfigError(f"n_users: must be an integer >= 2, got {self.n_users!r}")
+            with _naming("n_users"):
+                _check_count("n_users", self.n_users, 2)
             if self.constants is None:
                 raise ConfigError("constants: required for scenario 'ghz'")
             with _naming("constants"):
@@ -230,9 +236,10 @@ class Metrics:
 
     def regret_over(self, start: int, stop: int) -> float | None:
         """Mean per-user realized regret accumulated over rounds [start, stop)."""
+        start, stop = _check_count("start", start, 0), _check_count("stop", stop, 0)
         if self.best_p is None or self.mean_step_reward is None:
             return None
-        if not 0 <= start <= stop <= self.horizon:
+        if not start <= stop <= self.horizon:
             raise ValueError(f"window [{start}, {stop}) outside horizon {self.horizon}")
         return self.best_p * (stop - start) - float(np.sum(self.mean_step_reward[start:stop]))
 
@@ -280,7 +287,7 @@ def run_experiment(
     if trial_order is None:
         order: Sequence[int] = range(n_trials)
     else:
-        order = tuple(trial_order)
+        order = tuple(_check_count("trial_order", trial, 0) for trial in trial_order)
         if sorted(order) != list(range(n_trials)):
             raise ValueError(f"trial_order must be a permutation of range({n_trials})")
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .policies import GhzConstants, UpdateConfig, play_trial
-from .quantum import RandomStream, _check_probability, _is_number
+from .policies import GhzConstants, play_trial
+from .quantum import RandomStream, _check_count, _check_fraction, _check_probability, _check_seed
 
 __all__ = [
     "TransitionDistribution",
@@ -40,12 +40,6 @@ _PROB_SUM_TOL = 1e-12
 def _check_probabilities(**values: float) -> tuple[float, ...]:
     """The named probabilities as Python floats, in the order given."""
     return tuple(_check_probability(name, value) for name, value in values.items())
-
-
-def _check_count(name: str, value: int, minimum: int) -> int:
-    if not (_is_number(value, integer=True) and value >= minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,7 @@ def enumerate_single_step(p0: float, p1: float, p2: float, c: float) -> Transiti
     shift to each, and merges duplicates (clamping can collapse outcomes).
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = UpdateConfig(c).c
+    c = _check_fraction("c", c)
     up = min(p0 + c, 1.0)
     down = max(p0 - c, 0.0)
     moves = [(up if toward_zero else down, prob) for toward_zero, prob in _branches(p0, p1, p2)]
@@ -125,7 +119,7 @@ def enumerate_coop_step(p0: float, p1: float, p2: float, c: float) -> Transition
     Bernoulli draws on the same machine; a split leaves the state in place.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = UpdateConfig(c).c
+    c = _check_fraction("c", c)
     up = min(p0 + c, 1.0)
     down = max(p0 - c, 0.0)
     moves: list[tuple[float, float]] = []
@@ -147,8 +141,7 @@ def enumerate_ghz_step(
     majority rule maps each count to a graded shift, a tie to no move.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    if not (isinstance(n, int) and n >= 2):
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    n = _check_count("n", n, 2)
     constants.validate_for(n)
     moves: list[tuple[float, float]] = []
     for bit, branch_prob, q in ((0, p0, p1), (1, 1.0 - p0, p2)):
@@ -171,7 +164,7 @@ def expected_drift(p0: float, p1: float, p2: float, c: float) -> float:
     pushes toward machine 0.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = UpdateConfig(c).c
+    c = _check_fraction("c", c)
     return c * (p0 * (2.0 * p1 - 1.0) + (1.0 - p0) * (1.0 - 2.0 * p2))
 
 
@@ -230,7 +223,7 @@ def evolve_distribution(
     max_states.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = UpdateConfig(c).c
+    c = _check_fraction("c", c)
     horizon = _check_count("horizon", horizon, 0)
     max_states = _check_count("max_states", max_states, 1)
     values, start_index, targets, weights = _lattice_chain(p0, p1, p2, c, max_states)
@@ -305,13 +298,12 @@ def asymptotic_claim_report(
     window. The report quantifies the comparison; it draws no conclusion.
     """
     p1, p2, initial_p0 = _check_probabilities(p1=p1, p2=p2, initial_p0=initial_p0)
-    c = UpdateConfig(c).c
+    c = _check_fraction("c", c)
     horizon = _check_count("horizon", horizon, 1)
     trials = _check_count("trials", trials, 2)
     max_states = _check_count("max_states", max_states, 1)
-    if not (_is_number(window) and 0.0 < window <= 1.0):
-        raise ValueError(f"window must be in (0, 1], got {window!r}")
-    window = float(window)
+    window = _check_fraction("window", window)
+    seed = _check_seed(seed)
     if p1 + p2 <= 0.0:
         raise ValueError("p1 + p2 must be positive for the reward-share ratio")
     window_steps = max(1, int(horizon * window))

@@ -24,6 +24,7 @@ from .quantum import (
     RandomStream,
     _TOWARD_ONE,
     _TOWARD_ZERO,
+    _check_fraction,
     _is_number,
     measure_pair,
     sample_bit,
@@ -54,9 +55,7 @@ class UpdateConfig:
     c: float
 
     def __post_init__(self) -> None:
-        if not (_is_number(self.c) and 0.0 < self.c <= 1.0):
-            raise ValueError(f"c must be in (0, 1], got {self.c!r}")
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", _check_fraction("c", self.c))
 
 
 @dataclass(frozen=True)

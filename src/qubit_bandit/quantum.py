@@ -40,6 +40,10 @@ def _is_number(value, integer: bool = False) -> bool:
 
     Python and numpy numbers both qualify; True would otherwise pass as 1.
     """
+    # exact Python types first: the ABC check is slow, and every stream runs this
+    kind = type(value)
+    if kind is int or (kind is float and not integer):
+        return True
     kind = numbers.Integral if integer else numbers.Real
     return isinstance(value, kind) and not isinstance(value, bool)
 
@@ -50,6 +54,27 @@ def _check_probability(name: str, value: float) -> float:
     if not (_is_number(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
+
+
+def _check_fraction(name: str, value: float) -> float:
+    """value as a Python float, or ValueError when it is not in (0, 1]."""
+    if not (_is_number(value) and 0.0 < value <= 1.0):
+        raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+    return float(value)
+
+
+def _check_count(name: str, value: int, minimum: int) -> int:
+    """value as a Python int, or ValueError when it is not an integer >= minimum."""
+    if not (_is_number(value, integer=True) and value >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_seed(seed: int) -> int:
+    """seed as a Python int, or ValueError when it is not an integer in [0, 2**64)."""
+    if not (_is_number(seed, integer=True) and 0 <= seed < _SEED_LIMIT):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 class Correlation(Enum):
@@ -98,15 +123,12 @@ class RandomStream:
     concurrently) without changing results. uniform() and uniforms() share
     one sequence however calls to them interleave; scalar draws are served
     from a block held in reverse order, so the next draw is the last item.
+    seed, stream and counts may be numpy integers, which act as Python ints.
     """
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        if not (isinstance(seed, int) and 0 <= seed < _SEED_LIMIT):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-        if not (isinstance(stream, int) and stream >= 0):
-            raise ValueError(f"stream must be a non-negative integer, got {stream!r}")
-        self.seed = seed
-        self.stream = stream
+        self.seed = seed = _check_seed(seed)
+        self.stream = stream = _check_count("stream", stream, 0)
         generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
         self._random = generator.random
         self._block: list[float] = []
@@ -128,8 +150,7 @@ class RandomStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """count draws in [0, 1), identical to count successive uniform() calls."""
-        if not (isinstance(count, int) and count >= 0):
-            raise ValueError(f"count must be a non-negative integer, got {count!r}")
+        count = _check_count("count", count, 0)
         block = self._block
         held = min(count, len(block))
         head = block[len(block) - held :]

@@ -66,7 +66,7 @@ def test_arm_lookup_rejects_other_indices():
         env.arm(2)
 
 
-@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n", [0, 1, 2.0])
 def test_replicated_bandit_needs_at_least_two_users(n):
     with pytest.raises(ValueError):
         ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), n)

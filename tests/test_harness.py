@@ -160,6 +160,9 @@ def test_trial_order_only_permutes_execution():
 def test_trial_order_must_be_a_permutation():
     with pytest.raises(ValueError):
         run_experiment(_single_config(), trial_order=[0, 0, 1, 2])
+    # a bool is not a trial index, although True == 1
+    with pytest.raises(ValueError, match="trial_order"):
+        run_experiment(_single_config(), trial_order=[0, True, 2, 3])
 
 
 @pytest.mark.parametrize(
@@ -299,6 +302,10 @@ def test_regret_over_rejects_bad_windows():
         metrics.regret_over(-1, 10)
     with pytest.raises(ValueError):
         metrics.regret_over(10, 500)
+    with pytest.raises(ValueError):
+        metrics.regret_over(True, 3)
+    with pytest.raises(ValueError):
+        metrics.regret_over(0.5, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,8 @@ def test_oracle_computes_numpy_float_inputs_in_float64():
         lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=2, window=True),
         lambda: evolve_distribution(0.5, 0.8, 0.2, 2.0, 3),
         lambda: asymptotic_claim_report(0.8, 0.2, 1.5, horizon=10, trials=2),
+        lambda: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=2, seed=True),
+        lambda: enumerate_ghz_step(0.5, 0.8, 0.2, True, GhzConstants((0.1,))),
         *[
             lambda bad=bad: evolve_distribution(0.5, 0.8, 0.2, 0.1, 3, max_states=bad)
             for bad in (True, "a", None, 2.5, 0)
@@ -381,6 +383,8 @@ def test_oracle_computes_numpy_float_inputs_in_float64():
         "report-bool-window",
         "evolve-c-above-one",
         "report-c-above-one",
+        "report-bool-seed",
+        "ghz-bool-n",
         *[
             f"{fn}-max-states-{bad!r}"
             for fn in ("evolve", "report")

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
+from qubit_bandit.oracle import asymptotic_claim_report, enumerate_ghz_step
+from qubit_bandit.policies import GhzConstants
 from qubit_bandit.quantum import (
     Correlation,
     Direction,
@@ -78,10 +81,44 @@ def test_interleaved_scalar_and_block_draws_follow_the_raw_generator(k):
     np.testing.assert_array_equal(np.array(drawn), reference)
 
 
-@pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -1)])
+@pytest.mark.parametrize(
+    "seed,stream", [(-1, 0), (2**64, 0), (0, -1), (True, 0), (0, True), (1.0, 0)]
+)
 def test_random_stream_rejects_out_of_range_identifiers(seed, stream):
     with pytest.raises(ValueError):
         RandomStream(seed, stream=stream)
+
+
+@pytest.mark.parametrize("count", [-1, True, 2.0])
+def test_uniforms_rejects_bad_counts(count):
+    with pytest.raises(ValueError):
+        RandomStream(0).uniforms(count)
+
+
+@pytest.mark.parametrize(
+    "build,int_fields",
+    [
+        (lambda k: RandomStream(k, stream=k), ("seed", "stream")),
+        (lambda k: RandomStream(0).uniforms(k).tolist(), ()),
+        (lambda k: ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), k), ("n_users",)),
+        (lambda k: enumerate_ghz_step(0.5, 0.8, 0.2, k, GhzConstants((0.1, 0.05))), ()),
+        (
+            lambda k: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=3, seed=k),
+            ("seed",),
+        ),
+    ],
+    ids=["stream", "uniforms", "replicated-users", "ghz-step", "report-seed"],
+)
+def test_numpy_integers_act_as_python_ints(build, int_fields):
+    def comparable(value):
+        # streams have no equality; equal streams draw equal sequences
+        return value.uniforms(8).tolist() if isinstance(value, RandomStream) else value
+
+    expected = comparable(build(3))
+    for k in (np.int64(3), np.uint8(3)):
+        got = build(k)
+        assert [type(getattr(got, field)) for field in int_fields] == [int] * len(int_fields)
+        assert comparable(got) == expected
 
 
 # ---------------------------------------------------------------------------
