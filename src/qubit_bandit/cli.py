@@ -56,14 +56,6 @@ _CSV_HEADER = (
 # rows per write after the header: bounds the text emit holds at once
 _ROWS_PER_WRITE = 512
 
-_SCENARIOS = {
-    "qrng": Scenario.QRNG,
-    "single": Scenario.SINGLE_AGENT,
-    "duo-conflict": Scenario.DUO_CONFLICT,
-    "coop": Scenario.COOP_PAIR,
-    "ghz": Scenario.GHZ,
-}
-
 # how config-file values parse, keyed by normalized flag name
 _FILE_TYPES = {
     "p1": float,
@@ -243,7 +235,7 @@ def _parse_constants(value: str) -> tuple[float, ...]:
 
 
 def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, EmitOptions]:
-    """Resolve flags, config file, and defaults into a validated run."""
+    """Resolve flags and config file into a validated run; unset fields keep their defaults."""
     namespace = _build_parser().parse_args(argv)
     file_values = _load_config_file(namespace.config) if namespace.config else {}
 
@@ -259,38 +251,34 @@ def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, Emi
 
     command = namespace.command
     if command == "qrng":
-        config = ExperimentConfig(
-            scenario=Scenario.QRNG,
-            initial_p0=resolve("p0", 0.5),
-            horizon=resolve("count", required=True),
-            trials=1,
-            seed=resolve("seed", 0),
+        kwargs = dict(
+            initial_p0=resolve("p0"), horizon=resolve("count", required=True), seed=resolve("seed")
         )
-        options = EmitOptions(format="bits", output=resolve("output"))
+        fmt = "bits"
     else:
         kwargs = dict(
-            scenario=_SCENARIOS[command],
-            p1=resolve("p1", 0.5),
-            p2=resolve("p2", 0.5),
-            initial_p0=resolve("p0", 0.5),
-            horizon=resolve("horizon", 1000),
-            trials=resolve("trials", 1),
-            seed=resolve("seed", 0),
-            drift_step=resolve("drift_step", 0.0),
-            window=resolve("window", 0.2),
+            p1=resolve("p1"),
+            p2=resolve("p2"),
+            initial_p0=resolve("p0"),
+            horizon=resolve("horizon"),
+            trials=resolve("trials"),
+            seed=resolve("seed"),
+            drift_step=resolve("drift_step"),
+            window=resolve("window"),
         )
         if command in ("single", "coop"):
             kwargs["c"] = resolve("c", required=True)
         if command == "duo-conflict":
-            kwargs["p_first"] = resolve("p_first", 0.5)
+            kwargs["p_first"] = resolve("p_first")
         if command == "ghz":
             kwargs["n_users"] = resolve("n", required=True)
             kwargs["constants"] = _parse_constants(resolve("constants", required=True))
-        config = ExperimentConfig(**kwargs)
         fmt = resolve("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
-        options = EmitOptions(format=fmt, output=resolve("output"))
+    options = EmitOptions(format=fmt, output=resolve("output"))
+    given = {key: value for key, value in kwargs.items() if value is not None}
+    config = ExperimentConfig(Scenario(command), **given)
     config.validate()
     return config, options
 

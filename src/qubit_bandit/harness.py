@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice, repeat
 from typing import Iterator, Sequence
@@ -244,20 +244,9 @@ class Metrics:
         return self.best_p * (stop - start) - float(np.sum(self.mean_step_reward[start:stop]))
 
     def to_dict(self) -> dict:
-        """Scalar summary (the reward curve is left out)."""
-        return {
-            "n_trials": self.n_trials,
-            "horizon": self.horizon,
-            "n_users": self.n_users,
-            "best_p": self.best_p,
-            "window": self.window,
-            "mean_total_reward": self.mean_total_reward,
-            "mean_regret": self.mean_regret,
-            "total_conflicts": self.total_conflicts,
-            "final_p0_mean": self.final_p0_mean,
-            "final_p0_std": self.final_p0_std,
-            "mean_best_arm_fraction": self.mean_best_arm_fraction,
-        }
+        """Scalar summary in field order (per-trial rows and the reward curve are left out)."""
+        left_out = ("per_trial", "mean_step_reward")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in left_out}
 
 
 def _trial_inputs(config: ExperimentConfig):

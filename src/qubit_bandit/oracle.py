@@ -1,15 +1,18 @@
 """Exact references the sampling paths are checked against.
 
 Everything here is computed by enumeration rather than simulation: the
-one-step outcome distribution of single-agent play, its expected state
-change, the exact state distribution after T rounds (the clamped update
-walks a finite lattice, known in closed form, with an up and a down
-successor per state, so each round moves all mass in one scatter along two
+one-step outcome distribution of single, cooperative and n-user majority
+play, the expected state change, the exact single-agent state distribution
+after T rounds (the clamped update walks a finite lattice, known in closed
+form, with an up and a down successor per state whose weights are summed in
+_outcomes order, so each round moves all mass in one scatter along two
 successor columns), and a report that puts the long-run behavior next to the
 simple reward-share ratio p1 / (p1 + p2) without asserting that they agree.
 
-The enumerators deliberately re-derive the clamped update inline instead of
-calling the policy code, so the two routes stay independent.
+Single play is the majority round for n = 1 and coop for n = 2, so one
+outcome table, _outcomes, holds the direction rule and the binomial law for
+all three enumerators and the chain. It deliberately re-derives the rule
+instead of calling the policy code, so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -74,20 +77,21 @@ class TransitionDistribution:
         return float(sum(state * prob for state, prob in self.outcomes))
 
 
-def _branches(p0: float, p1: float, p2: float) -> tuple[tuple[bool, float], ...]:
-    """The four (machine, reward) outcomes of one single-agent round.
+def _outcomes(p0, p1: float, p2: float, n: int):
+    """Every outcome of one n-user majority round, for bit 0 then bit 1.
 
-    Returned in a fixed canonical order as (shifts toward zero, probability):
-    machine 0 rewarded, machine 0 unrewarded, machine 1 rewarded, machine 1
-    unrewarded. The enumerator and the chain builder (p0 an array of states)
-    both consume this, so their floating-point sums agree bit for bit.
+    Every user plays the machine the measured bit names, so the rewarded
+    count r = 0..n is binomial given the bit. Yields (toward zero, or None
+    on a tie; constant index min(r, n - r); probability). p0 may be an array
+    of states; the enumerators and the chain builder all sum in this order,
+    so their floating-point results agree bit for bit.
     """
-    return (
-        (True, p0 * p1),
-        (False, p0 * (1.0 - p1)),
-        (False, (1.0 - p0) * p2),
-        (True, (1.0 - p0) * (1.0 - p2)),
-    )
+    for bit, branch, q in ((0, p0, p1), (1, 1.0 - p0, p2)):
+        for r in range(n + 1):
+            # a rewarded majority moves toward the bit, an unrewarded one away
+            toward_zero = None if 2 * r == n else (bit == 0) == (2 * r > n)
+            prob = branch * math.comb(n, r) * q**r * (1.0 - q) ** (n - r)
+            yield toward_zero, min(r, n - r), prob
 
 
 def _merged(moves: list[tuple[float, float]]) -> TransitionDistribution:
@@ -98,18 +102,25 @@ def _merged(moves: list[tuple[float, float]]) -> TransitionDistribution:
     return TransitionDistribution(outcomes)
 
 
-def enumerate_single_step(p0: float, p1: float, p2: float, c: float) -> TransitionDistribution:
-    """Exact one-step outcome distribution of single-agent play.
-
-    Enumerates the four (machine, reward) combinations, applies the clamped
-    shift to each, and merges duplicates (clamping can collapse outcomes).
-    """
-    p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = _check_fraction("c", c)
-    up = min(p0 + c, 1.0)
-    down = max(p0 - c, 0.0)
-    moves = [(up if toward_zero else down, prob) for toward_zero, prob in _branches(p0, p1, p2)]
+def _majority_step(
+    p0: float, p1: float, p2: float, n: int, constants: tuple[float, ...]
+) -> TransitionDistribution:
+    """Apply the clamped shift to every outcome (a tie stays) and merge duplicates."""
+    moves = []
+    for toward_zero, dissent, prob in _outcomes(p0, p1, p2, n):
+        if toward_zero is None:
+            moves.append((p0, prob))
+        else:
+            step = constants[dissent]
+            moves.append((min(p0 + step, 1.0) if toward_zero else max(p0 - step, 0.0), prob))
+    # clamping can collapse outcomes onto one state
     return _merged(moves)
+
+
+def enumerate_single_step(p0: float, p1: float, p2: float, c: float) -> TransitionDistribution:
+    """Exact one-step outcome distribution of single-agent play: one user, one constant c."""
+    p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
+    return _majority_step(p0, p1, p2, 1, (_check_fraction("c", c),))
 
 
 def enumerate_coop_step(p0: float, p1: float, p2: float, c: float) -> TransitionDistribution:
@@ -119,17 +130,7 @@ def enumerate_coop_step(p0: float, p1: float, p2: float, c: float) -> Transition
     Bernoulli draws on the same machine; a split leaves the state in place.
     """
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
-    c = _check_fraction("c", c)
-    up = min(p0 + c, 1.0)
-    down = max(p0 - c, 0.0)
-    moves: list[tuple[float, float]] = []
-    for bit, branch_prob, q in ((0, p0, p1), (1, 1.0 - p0, p2)):
-        toward_bit = up if bit == 0 else down
-        away_from_bit = down if bit == 0 else up
-        moves.append((toward_bit, branch_prob * q * q))
-        moves.append((p0, branch_prob * 2.0 * q * (1.0 - q)))
-        moves.append((away_from_bit, branch_prob * (1.0 - q) * (1.0 - q)))
-    return _merged(moves)
+    return _majority_step(p0, p1, p2, 2, (_check_fraction("c", c),))
 
 
 def enumerate_ghz_step(
@@ -143,18 +144,7 @@ def enumerate_ghz_step(
     p0, p1, p2 = _check_probabilities(p0=p0, p1=p1, p2=p2)
     n = _check_count("n", n, 2)
     constants.validate_for(n)
-    moves: list[tuple[float, float]] = []
-    for bit, branch_prob, q in ((0, p0, p1), (1, 1.0 - p0, p2)):
-        for rewarded in range(n + 1):
-            prob = branch_prob * math.comb(n, rewarded) * q**rewarded * (1.0 - q) ** (n - rewarded)
-            if 2 * rewarded == n:
-                moves.append((p0, prob))
-                continue
-            # the dissenting count picks the constant; a rewarded majority moves toward the bit
-            step = constants.constants[min(rewarded, n - rewarded)]
-            toward_zero = (bit == 0) == (2 * rewarded > n)
-            moves.append((min(p0 + step, 1.0) if toward_zero else max(p0 - step, 0.0), prob))
-    return _merged(moves)
+    return _majority_step(p0, p1, p2, n, constants.constants)
 
 
 def expected_drift(p0: float, p1: float, p2: float, c: float) -> float:
@@ -198,10 +188,10 @@ def _lattice_chain(
     )
     # int / int rounds once, exactly like float(Fraction(n, den))
     values = np.array([n / den for n in order])
-    branches = _branches(values, p1, p2)
-    # summed in _branches order from zero, as _merged does, so one round of the
+    # summed in _outcomes order from zero, as _merged does, so one round of the
     # chain equals enumerate_single_step bit for bit
-    weights = np.array([sum(p for toward, p in branches if toward is up) for up in (True, False)])
+    outcomes = list(_outcomes(values, p1, p2, 1))
+    weights = np.array([sum(p for way, _, p in outcomes if way is up) for up in (True, False)])
     return values, index[start], targets, weights
 
 

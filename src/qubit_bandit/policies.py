@@ -24,6 +24,7 @@ from .quantum import (
     RandomStream,
     _TOWARD_ONE,
     _TOWARD_ZERO,
+    _check_count,
     _check_fraction,
     _is_number,
     measure_pair,
@@ -89,6 +90,7 @@ class GhzConstants:
         return (n_users + 1) // 2
 
     def validate_for(self, n_users: int) -> None:
+        n_users = _check_count("n_users", n_users, 2)
         needed = self.required_count(n_users)
         if len(self.constants) != needed:
             raise ValueError(

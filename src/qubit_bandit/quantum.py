@@ -188,11 +188,11 @@ def shift_probability(p0: float, direction: Direction, c: float) -> float:
     """Move p0 by c toward the given outcome, clamped to [0, 1].
 
     This is the single update primitive every decision policy uses; c must
-    be strictly positive.
+    be in (0, 1]. Every reference round calls it, so it checks inline.
     """
-    if not c > 0.0:
-        raise ValueError(f"shift constant must be > 0, got {c!r}")
-    if not 0.0 <= p0 <= 1.0:
+    if type(c) is bool or not 0.0 < c <= 1.0:
+        raise ValueError(f"c must be in (0, 1], got {c!r}")
+    if type(p0) is bool or not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be in [0, 1], got {p0!r}")
     if direction is _TOWARD_ZERO:
         return min(p0 + c, 1.0)

@@ -129,8 +129,21 @@ def test_enumerate_ghz_step_even_group_keeps_tie_mass_in_place():
     assert _mass_near(dist, 0.45) == pytest.approx(0.375, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_enumerate_ghz_step_matches_a_sum_over_every_reward_vector(n):
+def _one_constant(enumerate_step):
+    """A single or coop enumerator called like enumerate_ghz_step."""
+    return lambda p0, p1, p2, n, constants: enumerate_step(p0, p1, p2, *constants.constants)
+
+
+# single play is the majority round for n = 1 and coop for n = 2
+@pytest.mark.parametrize(
+    "n,enumerate_step",
+    [
+        pytest.param(1, _one_constant(enumerate_single_step), id="single-1"),
+        pytest.param(2, _one_constant(enumerate_coop_step), id="coop-2"),
+    ]
+    + [pytest.param(n, enumerate_ghz_step, id=str(n)) for n in range(2, 7)],
+)
+def test_enumerate_ghz_step_matches_a_sum_over_every_reward_vector(n, enumerate_step):
     constants = GhzConstants((0.3, 0.2, 0.1)[: (n + 1) // 2])
     rng = random.Random(n)
     for p0, p1, p2 in [(0.5, 0.5, 0.5), (0.05, 0.9, 0.2)] + [
@@ -151,7 +164,7 @@ def test_enumerate_ghz_step_matches_a_sum_over_every_reward_vector(n):
                     else:
                         nxt = max(p0 - step, 0.0)
                 by_vector[nxt] = by_vector.get(nxt, 0.0) + prob
-        enumerated = enumerate_ghz_step(p0, p1, p2, n, constants).probabilities()
+        enumerated = enumerate_step(p0, p1, p2, n, constants).probabilities()
         assert enumerated.keys() == {s for s, prob in by_vector.items() if prob > 0.0}
         for state, prob in enumerated.items():
             assert prob == pytest.approx(by_vector[state], abs=1e-15)

@@ -87,6 +87,12 @@ def test_ghz_constants_validate_for_checks_exact_length():
         constants.validate_for(2)
 
 
+@pytest.mark.parametrize("n_users", [True, 2.5, 1, "3"])
+def test_ghz_constants_validate_for_rejects_bad_user_counts(n_users):
+    with pytest.raises(ValueError, match="n_users must be an integer >= 2"):
+        GhzConstants((0.1, 0.05)).validate_for(n_users)
+
+
 # ---------------------------------------------------------------------------
 # single agent
 

@@ -102,12 +102,13 @@ def test_uniforms_rejects_bad_counts(count):
         (lambda k: RandomStream(0).uniforms(k).tolist(), ()),
         (lambda k: ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), k), ("n_users",)),
         (lambda k: enumerate_ghz_step(0.5, 0.8, 0.2, k, GhzConstants((0.1, 0.05))), ()),
+        (lambda k: GhzConstants((0.1, 0.05)).validate_for(k), ()),
         (
             lambda k: asymptotic_claim_report(0.8, 0.2, 0.1, horizon=10, trials=3, seed=k),
             ("seed",),
         ),
     ],
-    ids=["stream", "uniforms", "replicated-users", "ghz-step", "report-seed"],
+    ids=["stream", "uniforms", "replicated-users", "ghz-step", "ghz-validate-for", "report-seed"],
 )
 def test_numpy_integers_act_as_python_ints(build, int_fields):
     def comparable(value):
@@ -208,13 +209,13 @@ def test_shift_probability_values(p0, direction, c, expected):
     assert shift_probability(p0, direction, c) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("c", [0.0, -0.1, float("nan")])
+@pytest.mark.parametrize("c", [0.0, -0.1, float("nan"), True, float("inf"), 1.5])
 def test_shift_probability_rejects_non_positive_magnitude(c):
     with pytest.raises(ValueError):
         shift_probability(0.5, Direction.TOWARD_ZERO, c)
 
 
-@pytest.mark.parametrize("p0", [-0.01, 1.01])
+@pytest.mark.parametrize("p0", [-0.01, 1.01, True])
 def test_shift_probability_rejects_out_of_range_state(p0):
     with pytest.raises(ValueError):
         shift_probability(p0, Direction.TOWARD_ONE, 0.1)
