@@ -2,6 +2,7 @@
 
 Each trial draws from its own stream derived from (root seed, trial index),
 so runs are reproducible bit for bit and trial execution order is irrelevant.
+A run derives the seed words of all its trials' streams in one pass.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .quantum import (
     _check_probability,
     _check_seed,
     _is_number,
+    _stream_words,
 )
 
 __all__ = [
@@ -299,7 +301,7 @@ def run_experiment(
     summaries: list[TrialMetrics | None] = [None] * n_trials
     rewarded_by_trial: list[list[int] | None] = [None] * n_trials
     trajectories: list[Trajectory | None] = [None] * n_trials
-    for trial in order:
+    for trial, words in zip(order, _stream_words(config.seed, order)):
         states, bits, rewards, updates, rewarded = play_trial(
             start,
             machines,
@@ -307,7 +309,7 @@ def run_experiment(
             arms,
             config.drift_step,
             horizon,
-            RandomStream(config.seed, stream=trial),
+            RandomStream(config.seed, trial, words),
         )
         total_reward = sum(rewarded)
         regret: float | None = None

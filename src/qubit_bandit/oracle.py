@@ -24,7 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .policies import GhzConstants, play_trial
-from .quantum import RandomStream, _check_count, _check_fraction, _check_probability, _check_seed
+from .quantum import (
+    RandomStream,
+    _check_count,
+    _check_fraction,
+    _check_probability,
+    _check_seed,
+    _stream_words,
+)
 
 __all__ = [
     "TransitionDistribution",
@@ -301,8 +308,8 @@ def asymptotic_claim_report(
 
     mean_states = np.empty(trials)
     zero_rates = np.empty(trials)
-    for trial in range(trials):
-        rng = RandomStream(seed, stream=trial)
+    for trial, words in enumerate(_stream_words(seed, range(trials))):
+        rng = RandomStream(seed, trial, words)
         states, bits, _, _, _ = play_trial(
             initial_p0, ((0,), (1,)), (c,), (p1, p2), 0.0, horizon, rng
         )

@@ -7,10 +7,16 @@ weight of its first branch. Amplitudes are real and non-negative, so
 storing the probability directly keeps normalization exact by construction.
 Measurement never mutates a state; callers re-prepare (or reuse) states
 explicitly.
+
+Each trial of a run draws from RandomStream(seed, trial), seeded by NumPy's
+SeedSequence([seed, trial]). A multi-trial run derives every trial's seed
+words in one pass with _stream_words, NumPy's documented hash vectorised
+across trials, and hands each stream its row; the draws are the same.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -29,10 +35,17 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 2**64
-# uniform() serves draws from a pre-drawn block that starts small (short
-# trials draw little) and doubles on each refill up to the cap
-_BLOCK_START = 16
+# uniform() serves draws from a pre-drawn block that doubles on each refill
+# up to the cap; the first block holds a 10-round coop trial's 30 draws
+_BLOCK_START = 64
 _BLOCK_CAP = 4096
+
+# NumPy's SeedSequence pool hash (NEP 19, numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def _is_number(value, integer: bool = False) -> bool:
@@ -114,6 +127,82 @@ class EntangledPair:
         object.__setattr__(self, "p_first", _check_probability("p_first", self.p_first))
 
 
+def _hasher(multiplier: int, factor: int):
+    """SeedSequence's word hash: xor, step the multiplier, multiply, fold.
+
+    The multiplier sequence does not depend on the data, so it stays a
+    Python int while the words are uint32 arrays, one entry per stream.
+    """
+
+    def hash_words(value: np.ndarray) -> np.ndarray:
+        nonlocal multiplier
+        value = value ^ multiplier
+        multiplier = multiplier * factor & _MASK32
+        value = value * multiplier
+        return value ^ (value >> 16)
+
+    return hash_words
+
+
+def _stream_words(seed: int, streams) -> np.ndarray:
+    """SeedSequence([seed, s]).generate_state(4, np.uint64) for every s in streams.
+
+    One row of four uint64 words per stream, in the order given: NumPy's
+    pool mix run as uint32 array arithmetic across all streams at once.
+    Streams must lie in [0, 2**32), where each is one entropy word.
+    """
+    seed = _check_seed(seed)
+    streams = np.asarray(streams)
+    if streams.size and not (
+        streams.ndim == 1
+        and streams.dtype.kind in "iu"
+        and 0 <= streams.min()
+        and streams.max() <= _MASK32
+    ):
+        raise ValueError("streams must be integers in [0, 2**32)")
+    n = len(streams)
+    # the entropy [seed, stream] as 32-bit words, low word first, zero-padded
+    # to the pool; the seed is one word below 2**32 and two from there on
+    entropy = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    columns = [np.full(n, word, np.uint32) for word in entropy]
+    columns.append(streams.astype(np.uint32))
+    columns += [np.zeros(n, np.uint32)] * (_POOL_SIZE - len(columns))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(column) for column in columns]
+    # mix all words together, so later words affect earlier ones
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                mixed = _MIX_MULT_L * pool[target] - _MIX_MULT_R * hashmix(pool[source])
+                pool[target] = mixed ^ (mixed >> 16)
+    # generate_state: eight 32-bit words cycling over the pool, paired low
+    # then high into four uint64 words
+    hash_out = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hash_out(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    state = state.astype(np.uint64)
+    return state[:, 0::2] | (state[:, 1::2] << 32)
+
+
+@functools.cache
+def _given_state() -> type:
+    """The ISeedSequence that hands PCG64 precomputed words.
+
+    Built on first use, because importing numpy.random costs start-up time
+    and memory that a run without streams should not pay.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            # PCG64 asks for its four uint64 words, which is what it holds
+            return self.words
+
+    return GivenState
+
+
 class RandomStream:
     """Deterministic uniform source with derivable substreams.
 
@@ -124,12 +213,19 @@ class RandomStream:
     one sequence however calls to them interleave; scalar draws are served
     from a block held in reverse order, so the next draw is the last item.
     seed, stream and counts may be numpy integers, which act as Python ints.
+
+    _words, when given, is this stream's row of _stream_words(seed, ...);
+    it replaces NumPy's SeedSequence, which stays the reference otherwise.
     """
 
-    def __init__(self, seed: int, stream: int = 0) -> None:
+    def __init__(self, seed: int, stream: int = 0, _words: np.ndarray | None = None) -> None:
         self.seed = seed = _check_seed(seed)
         self.stream = stream = _check_count("stream", stream, 0)
-        generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
+        if _words is None:
+            state = np.random.SeedSequence([seed, stream])
+        else:
+            state = _given_state()(_words)
+        generator = np.random.Generator(np.random.PCG64(state))
         self._random = generator.random
         self._block: list[float] = []
         self._block_size = _BLOCK_START
@@ -190,9 +286,10 @@ def shift_probability(p0: float, direction: Direction, c: float) -> float:
     This is the single update primitive every decision policy uses; c must
     be in (0, 1]. Every reference round calls it, so it checks inline.
     """
-    if type(c) is bool or not 0.0 < c <= 1.0:
+    # a float (numpy float64 included) skips the slower check, which rejects bools
+    if not (isinstance(c, float) or _is_number(c)) or not 0.0 < c <= 1.0:
         raise ValueError(f"c must be in (0, 1], got {c!r}")
-    if type(p0) is bool or not 0.0 <= p0 <= 1.0:
+    if not (isinstance(p0, float) or _is_number(p0)) or not 0.0 <= p0 <= 1.0:
         raise ValueError(f"p0 must be in [0, 1], got {p0!r}")
     if direction is _TOWARD_ZERO:
         return min(p0 + c, 1.0)

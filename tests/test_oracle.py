@@ -19,6 +19,7 @@ from qubit_bandit.oracle import (
     expected_drift,
 )
 from qubit_bandit.policies import GhzConstants
+from qubit_bandit.quantum import RandomStream
 
 
 def _mass_near(dist, target, tol=1e-9):
@@ -441,3 +442,14 @@ def test_asymptotic_report_is_reproducible():
     a = asymptotic_claim_report(0.7, 0.3, 0.05, horizon=500, trials=5, seed=9)
     b = asymptotic_claim_report(0.7, 0.3, 0.05, horizon=500, trials=5, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [9, 2**32 + 5])
+def test_asymptotic_report_streams_equal_seed_sequence_streams(monkeypatch, seed):
+    bulk = asymptotic_claim_report(0.7, 0.4, 0.05, horizon=300, trials=12, seed=seed)
+    # the reference: every trial's stream seeded by NumPy's own SeedSequence
+    def reference(seed, stream, words):
+        return RandomStream(seed, stream)
+
+    monkeypatch.setattr(oracle, "RandomStream", reference)
+    assert asymptotic_claim_report(0.7, 0.4, 0.05, horizon=300, trials=12, seed=seed) == bulk

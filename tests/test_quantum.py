@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
@@ -13,6 +13,7 @@ from qubit_bandit.quantum import (
     Direction,
     EntangledPair,
     RandomStream,
+    _stream_words,
     measure_pair,
     sample_bit,
     sample_bits,
@@ -63,12 +64,12 @@ def test_uniforms_matches_repeated_scalar_draws():
     np.testing.assert_array_equal(block, singles)
 
 
-@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 5000])
+@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 5000])
 def test_interleaved_scalar_and_block_draws_follow_the_raw_generator(k):
-    # scalar draws come from a block of 16 that doubles up to 4096, so the
+    # scalar draws come from a block of 64 that doubles up to 4096, so the
     # runs below cross both sizes; odd runs leave a block partly used
     seed, stream = 21, 4
-    scalar_runs = (0, 3, 16, 1, 40, 5000, 7)
+    scalar_runs = (0, 3, 64, 1, 130, 5000, 7)
     raw = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
     reference = raw.random(sum(scalar_runs) + k * len(scalar_runs))
     rng = RandomStream(seed, stream=stream)
@@ -79,6 +80,39 @@ def test_interleaved_scalar_and_block_draws_follow_the_raw_generator(k):
         assert block.shape == (k,) and block.dtype == np.float64
         drawn += block.tolist()
     np.testing.assert_array_equal(np.array(drawn), reference)
+
+
+seeds = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+streams = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, stream=streams, count=st.integers(0, 150))
+@example(seed=0, stream=0, count=0)
+@example(seed=2**32 - 1, stream=2**32 - 1, count=1)
+@example(seed=2**32, stream=0, count=64)
+@example(seed=2**64 - 1, stream=2**32 - 1, count=65)
+def test_bulk_stream_words_equal_numpy_seed_sequence(seed, stream, count):
+    indices = (stream, 0, 2**32 - 1)
+    words = _stream_words(seed, np.array(indices, dtype=np.uint64))
+    assert words.shape == (3, 4) and words.dtype == np.uint64
+    for index, row in zip(indices, words):
+        reference = np.random.SeedSequence([seed, index]).generate_state(4, np.uint64)
+        np.testing.assert_array_equal(row, reference)
+    bulk, plain = RandomStream(seed, stream, words[0]), RandomStream(seed, stream)
+    for _ in range(3):
+        assert [bulk.uniform() for _ in range(count)] == [plain.uniform() for _ in range(count)]
+        np.testing.assert_array_equal(bulk.uniforms(count), plain.uniforms(count))
+
+
+@pytest.mark.parametrize(
+    "streams", [[2**32], [0, 2**64 - 1], [-1], [True], [0.0], [[0, 1]]], ids=str
+)
+def test_bulk_stream_words_reject_streams_outside_one_word(streams):
+    # a stream of 2**32 or more is two entropy words in SeedSequence, which
+    # the bulk hash does not derive, so it must not return other words
+    with pytest.raises(ValueError):
+        _stream_words(0, streams)
 
 
 @pytest.mark.parametrize(
@@ -209,13 +243,13 @@ def test_shift_probability_values(p0, direction, c, expected):
     assert shift_probability(p0, direction, c) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("c", [0.0, -0.1, float("nan"), True, float("inf"), 1.5])
+@pytest.mark.parametrize("c", [0.0, -0.1, float("nan"), True, float("inf"), 1.5, np.True_])
 def test_shift_probability_rejects_non_positive_magnitude(c):
     with pytest.raises(ValueError):
         shift_probability(0.5, Direction.TOWARD_ZERO, c)
 
 
-@pytest.mark.parametrize("p0", [-0.01, 1.01, True])
+@pytest.mark.parametrize("p0", [-0.01, 1.01, True, np.False_, np.True_])
 def test_shift_probability_rejects_out_of_range_state(p0):
     with pytest.raises(ValueError):
         shift_probability(p0, Direction.TOWARD_ONE, 0.1)
