@@ -447,8 +447,9 @@ def test_asymptotic_report_is_reproducible():
 @pytest.mark.parametrize("seed", [9, 2**32 + 5])
 def test_asymptotic_report_streams_equal_seed_sequence_streams(monkeypatch, seed):
     bulk = asymptotic_claim_report(0.7, 0.4, 0.05, horizon=300, trials=12, seed=seed)
-    # the reference: every trial's stream seeded by NumPy's own SeedSequence
+
     def reference(seed, stream, words):
+        # every trial's stream seeded by NumPy's own SeedSequence instead
         return RandomStream(seed, stream)
 
     monkeypatch.setattr(oracle, "RandomStream", reference)

@@ -64,7 +64,7 @@ def test_uniforms_matches_repeated_scalar_draws():
     np.testing.assert_array_equal(block, singles)
 
 
-@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 5000])
+@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 63, 64, 65, 5000])
 def test_interleaved_scalar_and_block_draws_follow_the_raw_generator(k):
     # scalar draws come from a block of 64 that doubles up to 4096, so the
     # runs below cross both sizes; odd runs leave a block partly used
@@ -106,7 +106,9 @@ def test_bulk_stream_words_equal_numpy_seed_sequence(seed, stream, count):
 
 
 @pytest.mark.parametrize(
-    "streams", [[2**32], [0, 2**64 - 1], [-1], [True], [0.0], [[0, 1]]], ids=str
+    "streams",
+    [[2**32], [0, 2**64 - 1], [-1], [True], [0.0], [[0, 1]]],
+    ids=["2**32", "2**64-1", "negative", "bool", "float", "nested"],
 )
 def test_bulk_stream_words_reject_streams_outside_one_word(streams):
     # a stream of 2**32 or more is two entropy words in SeedSequence, which
