@@ -2,7 +2,8 @@
 
 Each trial draws from its own stream derived from (root seed, trial index),
 so runs are reproducible bit for bit and trial execution order is irrelevant.
-A run derives the seed words of all its trials' streams in one pass.
+A run derives all its trials' streams in bulk and hands each trial its
+stream's first block of draws.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .quantum import (
     _check_probability,
     _check_seed,
     _is_number,
-    _stream_words,
+    _first_blocks,
 )
 
 __all__ = [
@@ -301,7 +302,7 @@ def run_experiment(
     summaries: list[TrialMetrics | None] = [None] * n_trials
     rewarded_by_trial: list[list[int] | None] = [None] * n_trials
     trajectories: list[Trajectory | None] = [None] * n_trials
-    for trial, words in zip(order, _stream_words(config.seed, order)):
+    for trial, first in zip(order, _first_blocks(config.seed, order)):
         states, bits, rewards, updates, rewarded = play_trial(
             start,
             machines,
@@ -309,7 +310,7 @@ def run_experiment(
             arms,
             config.drift_step,
             horizon,
-            RandomStream(config.seed, trial, words),
+            RandomStream(config.seed, trial, first),
         )
         total_reward = sum(rewarded)
         regret: float | None = None

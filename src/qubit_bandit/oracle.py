@@ -30,7 +30,7 @@ from .quantum import (
     _check_fraction,
     _check_probability,
     _check_seed,
-    _stream_words,
+    _first_blocks,
 )
 
 __all__ = [
@@ -308,8 +308,8 @@ def asymptotic_claim_report(
 
     mean_states = np.empty(trials)
     zero_rates = np.empty(trials)
-    for trial, words in enumerate(_stream_words(seed, range(trials))):
-        rng = RandomStream(seed, trial, words)
+    for trial, first in enumerate(_first_blocks(seed, range(trials))):
+        rng = RandomStream(seed, trial, first)
         states, bits, _, _, _ = play_trial(
             initial_p0, ((0,), (1,)), (c,), (p1, p2), 0.0, horizon, rng
         )

@@ -448,8 +448,8 @@ def test_asymptotic_report_is_reproducible():
 def test_asymptotic_report_streams_equal_seed_sequence_streams(monkeypatch, seed):
     bulk = asymptotic_claim_report(0.7, 0.4, 0.05, horizon=300, trials=12, seed=seed)
 
-    def reference(seed, stream, words):
-        # every trial's stream seeded by NumPy's own SeedSequence instead
+    def reference(seed, stream, first):
+        # every trial's stream built on its own instead of handed a bulk first block
         return RandomStream(seed, stream)
 
     monkeypatch.setattr(oracle, "RandomStream", reference)

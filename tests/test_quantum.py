@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qubit_bandit import quantum
 from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
 from qubit_bandit.oracle import asymptotic_claim_report, enumerate_ghz_step
 from qubit_bandit.policies import GhzConstants
@@ -13,6 +14,7 @@ from qubit_bandit.quantum import (
     Direction,
     EntangledPair,
     RandomStream,
+    _first_blocks,
     _stream_words,
     measure_pair,
     sample_bit,
@@ -83,15 +85,42 @@ def test_interleaved_scalar_and_block_draws_follow_the_raw_generator(k):
 
 
 seeds = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
-streams = st.one_of(st.sampled_from([0, 2**32 - 1]), st.integers(0, 2**32 - 1))
+streams = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1))
+
+
+def _numpy_draws(seed, stream, count):
+    """The reference: count draws of NumPy's own generator for (seed, stream)."""
+    bit_generator = np.random.PCG64(np.random.SeedSequence([seed, stream]))
+    return np.random.Generator(bit_generator).random(count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    stream=streams,
+    runs=st.lists(st.tuples(st.booleans(), st.integers(0, 4200)), min_size=1, max_size=5),
+)
+@example(seed=0, stream=0, runs=[(True, 0)])
+@example(seed=2**32 - 1, stream=2**32 - 1, runs=[(True, 63), (False, 2), (True, 200)])
+@example(seed=2**32, stream=2**32, runs=[(False, 4096), (True, 1), (False, 4097)])
+@example(seed=2**64 - 1, stream=2**64 - 1, runs=[(True, 65), (False, 4200), (True, 4200)])
+def test_random_stream_draws_equal_numpy_pcg64(seed, stream, runs):
+    # runs of uniform() (True) and uniforms() (False) calls, interleaved; the
+    # counts cross the 64-draw first block and the 4096-draw cap
+    rng = RandomStream(seed, stream)
+    drawn = []
+    for scalar, count in runs:
+        drawn += [rng.uniform() for _ in range(count)] if scalar else rng.uniforms(count).tolist()
+    reference = _numpy_draws(seed, stream, sum(count for _, count in runs))
+    np.testing.assert_array_equal(np.array(drawn), reference)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, stream=streams, count=st.integers(0, 150))
 @example(seed=0, stream=0, count=0)
 @example(seed=2**32 - 1, stream=2**32 - 1, count=1)
-@example(seed=2**32, stream=0, count=64)
-@example(seed=2**64 - 1, stream=2**32 - 1, count=65)
+@example(seed=2**32, stream=2**32, count=64)
+@example(seed=2**64 - 1, stream=2**64 - 1, count=65)
 def test_bulk_stream_words_equal_numpy_seed_sequence(seed, stream, count):
     indices = (stream, 0, 2**32 - 1)
     words = _stream_words(seed, np.array(indices, dtype=np.uint64))
@@ -99,26 +128,55 @@ def test_bulk_stream_words_equal_numpy_seed_sequence(seed, stream, count):
     for index, row in zip(indices, words):
         reference = np.random.SeedSequence([seed, index]).generate_state(4, np.uint64)
         np.testing.assert_array_equal(row, reference)
-    bulk, plain = RandomStream(seed, stream, words[0]), RandomStream(seed, stream)
+    (first,) = _first_blocks(seed, [stream])
+    bulk, plain = RandomStream(seed, stream, first), RandomStream(seed, stream)
     for _ in range(3):
         assert [bulk.uniform() for _ in range(count)] == [plain.uniform() for _ in range(count)]
         np.testing.assert_array_equal(bulk.uniforms(count), plain.uniforms(count))
 
 
 @pytest.mark.parametrize(
-    "streams",
-    [[2**32], [0, 2**64 - 1], [-1], [True], [0.0], [[0, 1]]],
-    ids=["2**32", "2**64-1", "negative", "bool", "float", "nested"],
+    "streams", [[2**64 - 1], range(2**32 - 1500, 2**32 + 1500)], ids=["one", "3000"]
 )
-def test_bulk_stream_words_reject_streams_outside_one_word(streams):
-    # a stream of 2**32 or more is two entropy words in SeedSequence, which
-    # the bulk hash does not derive, so it must not return other words
-    with pytest.raises(ValueError):
-        _stream_words(0, streams)
+def test_first_blocks_equal_per_stream_draws(streams):
+    # 3000 streams span a chunk boundary, and 2**32, where a stream's entropy
+    # grows a second word; each stream goes on past its first block
+    assert len(streams) == 1 or len(streams) > quantum._CHUNK
+    seed = 2**32 + 5
+    starts = list(_first_blocks(seed, streams))
+    assert len(starts) == len(streams)
+    for stream, start in zip(streams, starts):
+        drawn = RandomStream(seed, stream, start).uniforms(100)
+        np.testing.assert_array_equal(drawn, _numpy_draws(seed, stream, 100))
 
 
 @pytest.mark.parametrize(
-    "seed,stream", [(-1, 0), (2**64, 0), (0, -1), (True, 0), (0, True), (1.0, 0)]
+    "streams,valid",
+    [
+        ([2**32], True),
+        ([0, 2**64 - 1], True),
+        ([2**64], False),
+        ([-1], False),
+        ([True], False),
+        ([0.0], False),
+        ([[0, 1]], False),
+    ],
+    ids=["2**32", "2**64-1", "2**64", "negative", "bool", "float", "nested"],
+)
+def test_bulk_stream_words_reject_streams_outside_one_word(streams, valid):
+    # a stream of 2**32 or more is two entropy words in SeedSequence, which
+    # the bulk hash derives exactly; anything else outside [0, 2**64) fails
+    if not valid:
+        with pytest.raises(ValueError):
+            _stream_words(0, streams)
+        return
+    expected = [np.random.SeedSequence([0, s]).generate_state(4, np.uint64) for s in streams]
+    np.testing.assert_array_equal(_stream_words(0, streams), expected)
+
+
+@pytest.mark.parametrize(
+    "seed,stream",
+    [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (True, 0), (0, True), (1.0, 0)],
 )
 def test_random_stream_rejects_out_of_range_identifiers(seed, stream):
     with pytest.raises(ValueError):
