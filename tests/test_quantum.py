@@ -119,6 +119,8 @@ def test_random_stream_draws_equal_numpy_pcg64(seed, stream, runs):
 @given(seed=seeds, stream=streams, count=st.integers(0, 150))
 @example(seed=0, stream=0, count=0)
 @example(seed=2**32 - 1, stream=2**32 - 1, count=1)
+@example(seed=2**32, stream=0, count=64)
+@example(seed=2**64 - 1, stream=2**32 - 1, count=65)
 @example(seed=2**32, stream=2**32, count=64)
 @example(seed=2**64 - 1, stream=2**64 - 1, count=65)
 def test_bulk_stream_words_equal_numpy_seed_sequence(seed, stream, count):
