@@ -21,6 +21,8 @@ import numpy as np
 
 from ._version import __version__
 from .harness import (
+    _FLOAT_FIELDS,
+    _INT_FIELDS,
     ConfigError,
     ExperimentConfig,
     Metrics,
@@ -56,23 +58,69 @@ _CSV_HEADER = (
 # rows per write after the header: bounds the text emit holds at once
 _ROWS_PER_WRITE = 512
 
-# how config-file values parse, keyed by normalized flag name
-_FILE_TYPES = {
-    "p1": float,
-    "p2": float,
-    "p0": float,
-    "p_first": float,
-    "drift_step": float,
-    "window": float,
-    "c": float,
-    "horizon": int,
-    "trials": int,
-    "seed": int,
-    "n": int,
-    "count": int,
-    "constants": str,
-    "format": str,
-    "output": str,
+# ExperimentConfig's numeric fields by type; constants has its own parser
+_FIELD_TYPES = {**dict.fromkeys(_FLOAT_FIELDS, float), **dict.fromkeys(_INT_FIELDS, int)}
+
+# flag -> (ExperimentConfig field, help); every flag but config is also a
+# config-file key
+_FLAGS = {
+    "p1": ("p1", "machine 0 reward probability (default 0.5)"),
+    "p2": ("p2", "machine 1 reward probability (default 0.5)"),
+    "p0": ("initial_p0", "zero-outcome probability: qrng's bias, a learner's start (default 0.5)"),
+    "horizon": ("horizon", "rounds per trial (default 1000)"),
+    "count": ("horizon", "number of bits (required)"),
+    "trials": ("trials", "trial count (default 1)"),
+    "seed": ("seed", "root seed (default 0)"),
+    "drift_step": (
+        "drift_step",
+        "bounded-random-walk drift step per round (default 0, drift off)",
+    ),
+    "window": ("window", "final-fraction window for convergence metrics (default 0.2)"),
+    "c": ("c", "update increment (required)"),
+    "p_first": ("p_first", "bias of user U toward machine 0 (default 0.5)"),
+    "n": ("n_users", "number of users (required)"),
+    "constants": (
+        "constants",
+        "comma-separated strictly decreasing increments, ceil(n/2) of them (required)",
+    ),
+    "format": (None, "output format (default csv)"),
+    "output": (
+        None,
+        f"output path (default stdout); relative paths resolve under ${OUTPUT_DIR_ENV} when set",
+    ),
+    "config": (None, "key=value config file; flags take precedence"),
+}
+
+_FLAG_TYPES = {flag: _FIELD_TYPES.get(field, str) for flag, (field, _) in _FLAGS.items()}
+
+_FORMATS = ("csv", "json")
+
+# in resolution order, which fixes the first error a multi-fault input reports
+_BANDIT_FLAGS = ("p1", "p2", "p0", "horizon", "trials", "seed", "drift_step", "window")
+
+# subcommand -> (help, flags besides config, required flags)
+_COMMANDS = {
+    "qrng": (
+        "emit raw bits plus a statistics battery",
+        ("p0", "count", "seed", "output"),
+        {"count"},
+    ),
+    "single": ("one learner on two machines", (*_BANDIT_FLAGS, "c", "format", "output"), {"c"}),
+    "duo-conflict": (
+        "two users, one machine pair, collision-free assignment",
+        (*_BANDIT_FLAGS, "p_first", "format", "output"),
+        set(),
+    ),
+    "coop": (
+        "two users learning jointly on replicated pairs",
+        (*_BANDIT_FLAGS, "c", "format", "output"),
+        {"c"},
+    ),
+    "ghz": (
+        "n users with majority updates on replicated pairs",
+        (*_BANDIT_FLAGS, "n", "constants", "format", "output"),
+        {"n", "constants"},
+    ),
 }
 
 
@@ -110,89 +158,15 @@ def _build_parser() -> _Parser:
         description="Measurement-driven binary decisions on two-armed banks.",
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser, bandit: bool) -> None:
-        sub.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
-        sub.add_argument(
-            "--config", default=None, help="key=value config file; flags take precedence"
-        )
-        sub.add_argument(
-            "--output",
-            default=None,
-            help=f"output path (default stdout); relative paths resolve under ${OUTPUT_DIR_ENV} when set",
-        )
-        if bandit:
+    for command, (help_text, flags, _) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        for flag in (*flags, "config"):
             sub.add_argument(
-                "--p1", type=float, default=None, help="machine 0 reward probability (default 0.5)"
+                "--" + flag.replace("_", "-"),
+                type=_FLAG_TYPES[flag],
+                choices=_FORMATS if flag == "format" else None,
+                help=_FLAGS[flag][1],
             )
-            sub.add_argument(
-                "--p2", type=float, default=None, help="machine 1 reward probability (default 0.5)"
-            )
-            sub.add_argument(
-                "--p0",
-                type=float,
-                default=None,
-                help="initial zero-outcome probability (default 0.5)",
-            )
-            sub.add_argument(
-                "--horizon", type=int, default=None, help="rounds per trial (default 1000)"
-            )
-            sub.add_argument("--trials", type=int, default=None, help="trial count (default 1)")
-            sub.add_argument(
-                "--drift-step",
-                dest="drift_step",
-                type=float,
-                default=None,
-                help="bounded-random-walk drift step per round (default 0, drift off)",
-            )
-            sub.add_argument(
-                "--window",
-                type=float,
-                default=None,
-                help="final-fraction window for convergence metrics (default 0.2)",
-            )
-            sub.add_argument(
-                "--format",
-                choices=("csv", "json"),
-                default=None,
-                help="output format (default csv)",
-            )
-
-    qrng = subparsers.add_parser("qrng", help="emit raw bits plus a statistics battery")
-    qrng.add_argument("--count", type=int, default=None, help="number of bits (required)")
-    qrng.add_argument(
-        "--p0", type=float, default=None, help="zero-outcome probability (default 0.5)"
-    )
-    add_common(qrng, bandit=False)
-
-    single = subparsers.add_parser("single", help="one learner on two machines")
-    single.add_argument("--c", type=float, default=None, help="update increment (required)")
-    add_common(single, bandit=True)
-
-    duo = subparsers.add_parser(
-        "duo-conflict", help="two users, one machine pair, collision-free assignment"
-    )
-    duo.add_argument(
-        "--p-first",
-        dest="p_first",
-        type=float,
-        default=None,
-        help="bias of user U toward machine 0 (default 0.5)",
-    )
-    add_common(duo, bandit=True)
-
-    coop = subparsers.add_parser("coop", help="two users learning jointly on replicated pairs")
-    coop.add_argument("--c", type=float, default=None, help="update increment (required)")
-    add_common(coop, bandit=True)
-
-    ghz = subparsers.add_parser("ghz", help="n users with majority updates on replicated pairs")
-    ghz.add_argument("--n", type=int, default=None, help="number of users (required)")
-    ghz.add_argument(
-        "--constants",
-        default=None,
-        help="comma-separated strictly decreasing increments, ceil(n/2) of them (required)",
-    )
-    add_common(ghz, bandit=True)
     return parser
 
 
@@ -210,16 +184,15 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"config: line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _FILE_TYPES:
+        if key not in _FLAGS or key == "config":
             raise ConfigError(f"config: unknown key '{key}'")
         values[key] = value.strip()
     return values
 
 
 def _parse_file_value(key: str, raw: str):
-    caster = _FILE_TYPES[key]
     try:
-        return caster(raw)
+        return _FLAG_TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"config: invalid value for '{key}': {raw!r}") from exc
 
@@ -237,50 +210,29 @@ def _parse_constants(value: str) -> tuple[float, ...]:
 def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, EmitOptions]:
     """Resolve flags and config file into a validated run; unset fields keep their defaults."""
     namespace = _build_parser().parse_args(argv)
-    file_values = _load_config_file(namespace.config) if namespace.config else {}
-
-    def resolve(key: str, default=None, required: bool = False):
-        value = getattr(namespace, key, None)
-        if value is None and key in file_values:
-            value = _parse_file_value(key, file_values[key])
-        if value is None:
-            value = default
-        if value is None and required:
-            raise ConfigError(f"{key}: required for '{namespace.command}'")
-        return value
-
     command = namespace.command
-    if command == "qrng":
-        kwargs = dict(
-            initial_p0=resolve("p0"), horizon=resolve("count", required=True), seed=resolve("seed")
-        )
-        fmt = "bits"
-    else:
-        kwargs = dict(
-            p1=resolve("p1"),
-            p2=resolve("p2"),
-            initial_p0=resolve("p0"),
-            horizon=resolve("horizon"),
-            trials=resolve("trials"),
-            seed=resolve("seed"),
-            drift_step=resolve("drift_step"),
-            window=resolve("window"),
-        )
-        if command in ("single", "coop"):
-            kwargs["c"] = resolve("c", required=True)
-        if command == "duo-conflict":
-            kwargs["p_first"] = resolve("p_first")
-        if command == "ghz":
-            kwargs["n_users"] = resolve("n", required=True)
-            kwargs["constants"] = _parse_constants(resolve("constants", required=True))
-        fmt = resolve("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format: must be 'csv' or 'json', got {fmt!r}")
-    options = EmitOptions(format=fmt, output=resolve("output"))
-    given = {key: value for key, value in kwargs.items() if value is not None}
-    config = ExperimentConfig(Scenario(command), **given)
+    _, flags, required = _COMMANDS[command]
+    file_values = _load_config_file(namespace.config) if namespace.config else {}
+    values = {}
+    for flag in flags:
+        value = getattr(namespace, flag)
+        if value is None and flag in file_values:
+            value = _parse_file_value(flag, file_values[flag])
+        if value is not None:
+            values[flag] = value
+        elif flag in required:
+            raise ConfigError(f"{flag}: required for '{command}'")
+    if "constants" in values:
+        values["constants"] = _parse_constants(values["constants"])
+    if values.get("format", "csv") not in _FORMATS:
+        raise ConfigError(f"format: must be 'csv' or 'json', got {values['format']!r}")
+    if values.get("output") == "":
+        raise ConfigError("output: expected a file path, got ''")
+    fields = {_FLAGS[flag][0]: value for flag, value in values.items() if _FLAGS[flag][0]}
+    config = ExperimentConfig(Scenario(command), **fields)
     config.validate()
-    return config, options
+    fmt = values.get("format", "csv" if "format" in flags else "bits")
+    return config, EmitOptions(format=fmt, output=values.get("output"))
 
 
 def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
@@ -312,25 +264,10 @@ def config_from_metadata(metadata: dict) -> ExperimentConfig:
 
     Accepts either the JSON form (native types) or the CSV form (strings).
     """
-    constants = metadata.get("constants")
-    if isinstance(constants, str):
-        constants = None if constants.strip() in ("", "none") else _parse_constants(constants)
-    elif constants is not None:
-        constants = tuple(constants)
     return ExperimentConfig(
         scenario=Scenario(str(metadata["scenario"])),
-        p1=_meta_value(metadata["p1"], float),
-        p2=_meta_value(metadata["p2"], float),
-        c=_meta_value(metadata.get("c"), float),
-        constants=constants,
-        n_users=_meta_value(metadata.get("n_users"), int),
-        initial_p0=_meta_value(metadata["initial_p0"], float),
-        p_first=_meta_value(metadata["p_first"], float),
-        horizon=_meta_value(metadata["horizon"], int),
-        trials=_meta_value(metadata["trials"], int),
-        seed=_meta_value(metadata["seed"], int),
-        drift_step=_meta_value(metadata["drift_step"], float),
-        window=_meta_value(metadata["window"], float),
+        constants=_meta_value(metadata["constants"], _parse_constants),
+        **{name: _meta_value(metadata[name], cast) for name, cast in _FIELD_TYPES.items()},
     )
 
 

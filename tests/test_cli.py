@@ -43,6 +43,15 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _with_file(tmp_path, argv, file_text):
+    """argv plus --config naming a file that holds file_text (None: no file)."""
+    if file_text is None:
+        return argv
+    path = tmp_path / "run.cfg"
+    path.write_text(file_text)
+    return argv + ["--config", str(path)]
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -158,6 +167,46 @@ def test_config_file_bad_value_type_is_an_error(tmp_path):
         parse_config(["single", "--c", "0.1", "--config", str(path)])
 
 
+# one value per config key, none of them a default
+_EVERY_KEY = {
+    "p1": "0.7",
+    "p2": "0.3",
+    "p0": "0.4",
+    "horizon": "7",
+    "count": "9",
+    "trials": "2",
+    "seed": "11",
+    "drift_step": "0.01",
+    "window": "0.5",
+    "c": "0.05",
+    "p_first": "0.6",
+    "n": "3",
+    "constants": "0.1,0.05",
+    "format": "json",
+    "output": "out.json",
+}
+_BANDIT_KEYS = ["p1", "p2", "p0", "horizon", "trials", "seed", "drift_step", "window"]
+_COMMAND_KEYS = {
+    "qrng": ["p0", "count", "seed", "output"],
+    "single": _BANDIT_KEYS + ["c", "format", "output"],
+    "duo-conflict": _BANDIT_KEYS + ["p_first", "format", "output"],
+    "coop": _BANDIT_KEYS + ["c", "format", "output"],
+    "ghz": _BANDIT_KEYS + ["n", "constants", "format", "output"],
+}
+
+
+@pytest.mark.parametrize("spelling", ["_", "-"], ids=["underscores", "dashes"])
+@pytest.mark.parametrize("command", list(_COMMAND_KEYS))
+def test_config_file_takes_every_flag(tmp_path, command, spelling):
+    argv = [command]
+    for key in _COMMAND_KEYS[command]:
+        argv += ["--" + key.replace("_", "-"), _EVERY_KEY[key]]
+    # the file also holds the keys only other subcommands take; they are ignored
+    path = tmp_path / "run.cfg"
+    path.write_text("".join(f"{k.replace('_', spelling)} = {v}\n" for k, v in _EVERY_KEY.items()))
+    assert parse_args([command, "--config", str(path)]) == parse_args(argv)
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error lines
 
@@ -205,6 +254,62 @@ def test_main_rejects_non_finite_increments(capsys, argv):
     assert err.startswith("error: c") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,file_text,line",
+    [
+        (["qrng"], None, "count: required for 'qrng'"),
+        (["single"], None, "c: required for 'single'"),
+        (["coop"], None, "c: required for 'coop'"),
+        (["ghz", "--constants", "0.1"], None, "n: required for 'ghz'"),
+        (["ghz", "--n", "3"], None, "constants: required for 'ghz'"),
+        (
+            ["single", "--c", "0.1", "--format", "xml"],
+            None,
+            "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+        ),
+        (["single", "--c", "0.1"], "format=xml\n", "format: must be 'csv' or 'json', got 'xml'"),
+        # window resolves before c, so its bad value is reported first
+        (["single"], "window=wide\n", "config: invalid value for 'window': 'wide'"),
+        # constants parse before format is checked
+        (
+            ["ghz", "--n", "3"],
+            "constants=abc\nformat=xml\n",
+            "constants: expected comma-separated floats, got 'abc'",
+        ),
+        # flags parse before the file is read
+        (
+            ["single", "--c", "0.1", "--horizon", "abc"],
+            "p1=high\n",
+            "argument --horizon: invalid int value: 'abc'",
+        ),
+        (["single", "--c", "0.1"], "config=other.cfg\n", "config: unknown key 'config'"),
+        (["single", "--c", "0.1"], "warp_speed=9\n", "config: unknown key 'warp_speed'"),
+        (
+            ["ghz", "--n", "1", "--constants", "0.1"],
+            None,
+            "n_users: must be an integer >= 2, got 1",
+        ),
+    ],
+    ids=[
+        "qrng-missing-count",
+        "single-missing-c",
+        "coop-missing-c",
+        "ghz-missing-n",
+        "ghz-missing-constants",
+        "format-flag-xml",
+        "format-file-xml",
+        "bad-file-value-and-missing-c",
+        "bad-constants-and-bad-format",
+        "bad-flag-value-and-bad-file-value",
+        "config-key-in-file",
+        "unknown-key",
+        "ghz-n-1",
+    ],
+)
+def test_main_error_lines(capsys, tmp_path, argv, file_text, line):
+    assert _run(capsys, _with_file(tmp_path, argv, file_text)) == (2, "", f"error: {line}\n")
+
+
 def test_main_unknown_flag_exits_2(capsys):
     code, _, err = _run(capsys, ["single", "--c", "0.1", "--warp", "9"])
     assert code == 2
@@ -216,6 +321,20 @@ def test_main_unknown_command_exits_2(capsys):
     code, _, err = _run(capsys, ["teleport"])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,file_text",
+    [
+        (["single", "--c", "0.1", "--horizon", "5", "--output", ""], None),
+        (["single", "--c", "0.1", "--horizon", "5"], "output =\n"),
+        (["qrng", "--count", "8", "--output", ""], None),
+    ],
+    ids=["flag", "file", "qrng"],
+)
+def test_main_refuses_an_empty_output_before_running(capsys, tmp_path, argv, file_text):
+    expected = (2, "", "error: output: expected a file path, got ''\n")
+    assert _run(capsys, _with_file(tmp_path, argv, file_text)) == expected
 
 
 def test_main_runtime_failure_exits_1(capsys, tmp_path):
@@ -301,6 +420,29 @@ def test_csv_metadata_replays_the_exact_run(capsys):
     _, out, _ = _run(capsys, argv)
     replayed = config_from_metadata(read_csv_metadata(out.splitlines()))
     assert replayed == parse_config(argv)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["single", "--c", "0.05", "--p1", "0.7", "--p2", "0.4"],
+        ["duo-conflict", "--p-first", "0.3", "--p1", "0.6", "--p0", "0.45"],
+        ["coop", "--c", "0.1", "--p2", "0.35"],
+        ["ghz", "--n", "5", "--constants", "0.08,0.04,0.02"],
+    ],
+    ids=["single", "duo-conflict", "coop", "ghz"],
+)
+def test_metadata_replays_every_scenario_with_drift(capsys, argv, fmt):
+    argv = argv + ["--horizon", "6", "--trials", "2", "--seed", "5"]
+    argv += ["--drift-step", "0.02", "--window", "0.5"]
+    code, out, _ = _run(capsys, argv + ["--format", fmt])
+    assert code == 0
+    if fmt == "csv":
+        metadata = read_csv_metadata(out.splitlines())
+    else:
+        metadata = json.loads(out)["metadata"]["config"]
+    assert config_from_metadata(metadata) == parse_config(argv)
 
 
 def test_csv_metadata_replays_long_decimals_exactly(capsys):
