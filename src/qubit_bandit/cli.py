@@ -11,11 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -28,10 +31,15 @@ from .harness import (
     Metrics,
     Scenario,
     Trajectory,
+    _Summary,
+    _trials,
     chi_square_pairs_test,
     frequency_test,
-    run_experiment,
 )
+
+# bench/tracer.py wraps run_experiment under this name, so it stays
+# importable here although main plays trials through _trials
+from .harness import run_experiment  # noqa: F401
 from .quantum import Direction, RandomStream, sample_bits
 
 __all__ = [
@@ -349,20 +357,31 @@ def _slices(rows):
         yield texts
 
 
-def _csv_chunks(recordset: OutputRecordSet):
-    lines = [f"# tool={recordset.metadata['tool']}", f"# version={recordset.metadata['version']}"]
-    lines += [f"# {key}={_meta_str(value)}" for key, value in recordset.metadata["config"].items()]
-    if recordset.metrics is not None:
-        lines += [f"# metric:{key}={_meta_str(value)}" for key, value in recordset.metrics.items()]
-    lines.append(_CSV_HEADER)
-    yield "\n".join(lines) + "\n"
-    # f"{x:.12g}" is the text _meta_str gives _round12(x): 12 digits round-trip
-    num = _Texts(lambda x: f"{x:.12g}")
-    joined = _Texts(lambda values: "|".join(map(str, values)))
-    # an update pair is stored whole: its magnitude is a positive constant or
-    # the 0.0 of no update, never -0.0
-    update = _Texts(lambda u: f"{_DIRECTION_TEXT[u[0]]},{num[u[1]]}")
-    for trajectory in recordset.trajectories:
+class _CsvText:
+    """One run's CSV text in three parts: head(recordset), then rows(trajectory)
+    for each trial in order, then tail(). Number texts are kept for the run."""
+
+    def __init__(self) -> None:
+        # f"{x:.12g}" is the text _meta_str gives _round12(x): 12 digits round-trip
+        self.num = num = _Texts(lambda x: f"{x:.12g}")
+        self.joined = _Texts(lambda values: "|".join(map(str, values)))
+        # an update pair is stored whole: its magnitude is a positive constant or
+        # the 0.0 of no update, never -0.0
+        self.update = _Texts(lambda u: f"{_DIRECTION_TEXT[u[0]]},{num[u[1]]}")
+
+    @staticmethod
+    def head(recordset: OutputRecordSet) -> str:
+        metadata = recordset.metadata
+        lines = [f"# tool={metadata['tool']}", f"# version={metadata['version']}"]
+        lines += [f"# {key}={_meta_str(value)}" for key, value in metadata["config"].items()]
+        if recordset.metrics is not None:
+            lines += [f"# metric:{key}={_meta_str(value)}" for key, value in recordset.metrics.items()]
+        lines.append(_CSV_HEADER)
+        return "\n".join(lines) + "\n"
+
+    def rows(self, trajectory: Trajectory) -> Iterator[str]:
+        """The trajectory's rows, at most _ROWS_PER_WRITE to a string."""
+        num, joined, update = self.num, self.joined, self.update
         trial = trajectory.trial
         # measured_bit and chosen_machine fields, by bit
         played = [f"{bit},{joined[trajectory.machines[bit]]}" for bit in (0, 1)]
@@ -374,6 +393,9 @@ def _csv_chunks(recordset: OutputRecordSet):
         for texts in _slices(rows):
             yield "".join(texts)
 
+    def tail(self) -> str:
+        return ""
+
 
 def _json_list(values) -> str:
     """A list of ints as json.dumps(indent=2) lays it out inside a step row."""
@@ -382,20 +404,31 @@ def _json_list(values) -> str:
     return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
 
-def _json_chunks(recordset: OutputRecordSet):
-    head = json.dumps(
-        {"metadata": recordset.metadata, "metrics": recordset.metrics, "steps": []}, indent=2
-    )
-    # head ends with '"steps": []\n}'; rows go between the brackets
-    yield head[: -len("]\n}")]
-    num = _Texts(lambda x: repr(_round12(x)))
-    lists = _Texts(_json_list)
-    update = _Texts(
-        lambda u: f'"update_direction": "{_DIRECTION_TEXT[u[0]]}",\n'
-        f'      "update_magnitude": {num[u[1]]}'
-    )
-    rows_written = False
-    for trajectory in recordset.trajectories:
+class _JsonText:
+    """One run's JSON text in three parts, as _CsvText; rows go between the
+    brackets of "steps", so the separators and tail depend on whether any
+    row came before."""
+
+    def __init__(self) -> None:
+        self.num = num = _Texts(lambda x: repr(_round12(x)))
+        self.lists = _Texts(_json_list)
+        self.update = _Texts(
+            lambda u: f'"update_direction": "{_DIRECTION_TEXT[u[0]]}",\n'
+            f'      "update_magnitude": {num[u[1]]}'
+        )
+        self.rows_written = False
+
+    @staticmethod
+    def head(recordset: OutputRecordSet) -> str:
+        head = json.dumps(
+            {"metadata": recordset.metadata, "metrics": recordset.metrics, "steps": []}, indent=2
+        )
+        # head ends with '"steps": []\n}'; rows go between the brackets
+        return head[: -len("]\n}")]
+
+    def rows(self, trajectory: Trajectory) -> Iterator[str]:
+        """The trajectory's rows, at most _ROWS_PER_WRITE to a string."""
+        num, lists, update = self.num, self.lists, self.update
         trial = trajectory.trial
         # measured_bit and chosen_machine fields, by bit
         played = [
@@ -415,9 +448,14 @@ def _json_chunks(recordset: OutputRecordSet):
             for step, before, after, bit, rewards, change in trajectory.rounds()
         )
         for texts in _slices(rows):
-            yield (",\n" if rows_written else "\n") + ",\n".join(texts)
-            rows_written = True
-    yield "\n  ]\n}\n" if rows_written else "]\n}\n"
+            yield (",\n" if self.rows_written else "\n") + ",\n".join(texts)
+            self.rows_written = True
+
+    def tail(self) -> str:
+        return "\n  ]\n}\n" if self.rows_written else "]\n}\n"
+
+
+_TEXTS = {"csv": _CsvText, "json": _JsonText}
 
 
 def emit(recordset: OutputRecordSet, fmt: str, destination: Path | IO[str] | None = None) -> None:
@@ -427,16 +465,40 @@ def emit(recordset: OutputRecordSet, fmt: str, destination: Path | IO[str] | Non
     _ROWS_PER_WRITE, formatted straight from the trajectory columns, so no
     write holds more than one slice of rows.
     """
-    chunks = {"csv": _csv_chunks, "json": _json_chunks}.get(fmt)
-    if chunks is None:
+    if fmt not in _TEXTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     if destination is not None and not hasattr(destination, "write"):
         with open(destination, "w") as handle:
             emit(recordset, fmt, handle)
         return
     handle = sys.stdout if destination is None else destination
-    for chunk in chunks(recordset):
-        handle.write(chunk)
+    text = _TEXTS[fmt]()
+    handle.write(text.head(recordset))
+    for trajectory in recordset.trajectories:
+        for chunk in text.rows(trajectory):
+            handle.write(chunk)
+    handle.write(text.tail())
+
+
+def _run_trials(config: ExperimentConfig, fmt: str, handle: IO[str], spill_dir: Path | None) -> None:
+    """Emit a learning run as emit would, holding one trial at a time.
+
+    Each trial's rows are formatted as soon as it is played and staged in an
+    unnamed temporary file in spill_dir (None: the system's temp directory),
+    since the header needs every trial's metrics first. Then the header, the
+    staged rows and the tail go to handle.
+    """
+    text = _TEXTS[fmt]()
+    summary = _Summary(config)
+    with tempfile.TemporaryFile("w+", dir=spill_dir) as staged:
+        for trial, columns in _trials(config, range(config.trials)):
+            summary.add(trial, columns)
+            staged.writelines(text.rows(Trajectory(trial, summary.machines, *columns[:4])))
+            del columns  # released before the next trial is played
+        handle.write(text.head(build_recordset(config, (), summary.metrics())))
+        staged.seek(0)
+        shutil.copyfileobj(staged, handle)
+    handle.write(text.tail())
 
 
 def _resolve_output(output: str | None) -> Path | None:
@@ -468,15 +530,10 @@ def _battery_lines(bits: np.ndarray) -> list[str]:
     return lines
 
 
-def _run_qrng(config: ExperimentConfig, options: EmitOptions) -> None:
-    stream = RandomStream(config.seed, stream=0)
-    bits = sample_bits(config.initial_p0, config.horizon, stream)
-    text = "".join(map(str, bits.tolist()))
-    destination = _resolve_output(options.output)
-    if destination is None:
-        print(text)
-    else:
-        destination.write_text(text + "\n")
+def _run_qrng(config: ExperimentConfig, handle: IO[str]) -> None:
+    """The bit string to handle, then the battery report to stdout."""
+    bits = sample_bits(config.initial_p0, config.horizon, RandomStream(config.seed, stream=0))
+    handle.write("".join(map(str, bits.tolist())) + "\n")
     for line in _battery_lines(bits):
         print(line)
 
@@ -489,12 +546,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if config.scenario is Scenario.QRNG:
-            _run_qrng(config, options)
-        else:
-            trajectories, metrics = run_experiment(config)
-            recordset = build_recordset(config, trajectories, metrics)
-            emit(recordset, options.format, _resolve_output(options.output))
+        destination = _resolve_output(options.output)
+        # opened, and truncated, before the run, so a path that cannot be
+        # written fails before any trial is played
+        with open(destination, "w") if destination else nullcontext(sys.stdout) as handle:
+            if config.scenario is Scenario.QRNG:
+                _run_qrng(config, handle)
+            else:
+                spill_dir = destination.parent if destination else None
+                _run_trials(config, options.format, handle, spill_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -263,6 +263,124 @@ def _trial_inputs(config: ExperimentConfig):
     return config.initial_p0, ((0,) * n, (1,) * n), constants
 
 
+def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[tuple[int, tuple]]:
+    """The trial source: (trial, play_trial's columns) for each trial of
+    order, played when asked for.
+
+    Nothing here keeps a trial once it is handed over, so a consumer that
+    drops each trial before asking for the next holds one trial at a time.
+    """
+    start, machines, constants = _trial_inputs(config)
+    arms = (config.p1, config.p2)
+    for trial, first in zip(order, _first_blocks(config.seed, order)):
+        stream = RandomStream(config.seed, trial, first)
+        yield trial, play_trial(
+            start, machines, constants, arms, config.drift_step, config.horizon, stream
+        )
+
+
+# reward-curve rounds the summariser buffers before folding them into its
+# running sum: 32 KB of float64, so a trial longer than this folds alone
+_FOLD_ROUNDS = 4096
+
+
+class _Summary:
+    """The summariser: folds trials, handed over in any order, into their
+    TrialMetrics, the mean reward curve and the run's Metrics.
+
+    The curve sums rows in trial-index order, as np.mean over a (trials,
+    horizon) array does, so out-of-order trials wait for their turn. In
+    order, rows are folded a block at a time and memory stays bounded by
+    _FOLD_ROUNDS plus one trial. np.mean sums a single column pairwise,
+    not row by row, so at horizon 1 every row waits for one sum at the end.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        # machines per bit, as Trajectory takes them
+        self.machines = machines = _trial_inputs(config)[1]
+        self.config = config
+        self.horizon = config.horizon
+        self.n_users = n_users = config.users()
+        self.scored = n_users > 0 and not config.drift_on()
+        self.best_p = max(config.p1, config.p2)
+        best_arm = 0 if config.p1 >= config.p2 else 1
+        # users on the best machine when the measurement reads 0, and when it reads 1
+        self.best_users = (machines[0].count(best_arm), machines[1].count(best_arm))
+        self.window_steps = max(1, int(config.horizon * config.window))
+        # bits whose users collide; only the duo's users share one machine pair
+        self.colliding = []
+        if config.scenario is Scenario.DUO_CONFLICT:
+            self.colliding = [bit for bit, (u, v) in enumerate(machines) if u == v]
+        self.per_trial: list[TrialMetrics | None] = [None] * config.trials
+        self.waiting: dict[int, list[int]] = {}  # rewarded columns ahead of their turn
+        self.block: list[list[int]] = []  # rewarded columns in turn, not yet folded
+        self.turn = 0  # the trial whose column the curve takes next
+        self.curve_sum: np.ndarray | None = None
+
+    def add(self, trial: int, columns: tuple) -> None:
+        """Summarise one trial from play_trial's columns; keep its rewarded
+        column for the curve."""
+        states, bits, _, _, rewarded = columns
+        total_reward = sum(rewarded)
+        regret: float | None = None
+        best_fraction: float | None = None
+        if self.scored:
+            n_users, window_steps, best_users = self.n_users, self.window_steps, self.best_users
+            regret = self.best_p * self.horizon - total_reward / n_users
+            zeros = bits[-window_steps:].count(0)
+            hits = zeros * best_users[0] + (window_steps - zeros) * best_users[1]
+            best_fraction = hits / (window_steps * n_users)
+        conflicts = sum(map(bits.count, self.colliding))
+        self.per_trial[trial] = TrialMetrics(
+            trial, total_reward, regret, conflicts, states[-1], best_fraction
+        )
+        if not self.n_users:
+            return
+        self.waiting[trial] = rewarded
+        while self.turn in self.waiting:
+            self.block.append(self.waiting.pop(self.turn))
+            self.turn += 1
+        if self.horizon > 1 and len(self.block) * self.horizon >= _FOLD_ROUNDS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Add the block's per-user reward rows to the running sum, in order."""
+        rows = np.array(self.block, dtype=float)
+        self.block = []
+        rows /= self.n_users
+        if self.curve_sum is not None:
+            rows = np.vstack((self.curve_sum, rows))
+        self.curve_sum = np.add.reduce(rows, axis=0)
+
+    def metrics(self) -> Metrics:
+        """The run's Metrics, once every trial has been added."""
+        config, summaries, scored = self.config, self.per_trial, self.scored
+        finals = np.array([s.final_p0 for s in summaries])
+        mean_curve = None
+        if self.n_users:
+            if self.block:
+                self._fold()
+            # np.mean(curves, axis=0) is this sum over the trial count
+            mean_curve = self.curve_sum / config.trials
+        return Metrics(
+            n_trials=config.trials,
+            horizon=config.horizon,
+            n_users=self.n_users,
+            best_p=self.best_p if scored else None,
+            window=config.window,
+            per_trial=tuple(summaries),
+            mean_total_reward=float(np.mean([s.total_reward for s in summaries])),
+            mean_regret=float(np.mean([s.regret for s in summaries])) if scored else None,
+            total_conflicts=int(sum(s.conflicts for s in summaries)),
+            final_p0_mean=float(np.mean(finals)),
+            final_p0_std=float(np.std(finals)),
+            mean_best_arm_fraction=(
+                float(np.mean([s.best_arm_fraction for s in summaries])) if scored else None
+            ),
+            mean_step_reward=mean_curve,
+        )
+
+
 def run_experiment(
     config: ExperimentConfig,
     record_trajectories: bool = True,
@@ -283,75 +401,14 @@ def run_experiment(
         if sorted(order) != list(range(n_trials)):
             raise ValueError(f"trial_order must be a permutation of range({n_trials})")
 
-    start, machines, constants = _trial_inputs(config)
-    arms = (config.p1, config.p2)
-    horizon = config.horizon
-    n_users = config.users()
-    scored = n_users > 0 and not config.drift_on()
-    best_p = max(config.p1, config.p2)
-    best_arm = 0 if config.p1 >= config.p2 else 1
-    # users on the best machine when the measurement reads 0, and when it reads 1
-    best_users = (machines[0].count(best_arm), machines[1].count(best_arm))
-    window_steps = max(1, int(horizon * config.window))
-    window_start = horizon - window_steps
-    # bits whose users collide; only the duo's users share one machine pair
-    colliding = []
-    if config.scenario is Scenario.DUO_CONFLICT:
-        colliding = [bit for bit, (u, v) in enumerate(machines) if u == v]
-
-    summaries: list[TrialMetrics | None] = [None] * n_trials
-    rewarded_by_trial: list[list[int] | None] = [None] * n_trials
+    summary = _Summary(config)
     trajectories: list[Trajectory | None] = [None] * n_trials
-    for trial, first in zip(order, _first_blocks(config.seed, order)):
-        states, bits, rewards, updates, rewarded = play_trial(
-            start,
-            machines,
-            constants,
-            arms,
-            config.drift_step,
-            horizon,
-            RandomStream(config.seed, trial, first),
-        )
-        total_reward = sum(rewarded)
-        regret: float | None = None
-        best_fraction: float | None = None
-        if scored:
-            regret = best_p * horizon - total_reward / n_users
-            zeros = bits[window_start:].count(0)
-            hits = zeros * best_users[0] + (window_steps - zeros) * best_users[1]
-            best_fraction = hits / (window_steps * n_users)
-        conflicts = sum(bits.count(bit) for bit in colliding)
-        summaries[trial] = TrialMetrics(
-            trial, total_reward, regret, conflicts, states[-1], best_fraction
-        )
-        rewarded_by_trial[trial] = rewarded
+    for trial, columns in _trials(config, order):
+        summary.add(trial, columns)
         if record_trajectories:
-            trajectories[trial] = Trajectory(trial, machines, states, bits, rewards, updates)
-
-    finals = np.array([s.final_p0 for s in summaries])
-    mean_curve = None
-    if n_users:
-        # per-user reward per round, one row per trial in trial-index order
-        curves = np.array(rewarded_by_trial, dtype=float) / n_users
-        mean_curve = np.mean(curves, axis=0)
-    metrics = Metrics(
-        n_trials=n_trials,
-        horizon=horizon,
-        n_users=n_users,
-        best_p=best_p if scored else None,
-        window=config.window,
-        per_trial=tuple(summaries),
-        mean_total_reward=float(np.mean([s.total_reward for s in summaries])),
-        mean_regret=float(np.mean([s.regret for s in summaries])) if scored else None,
-        total_conflicts=int(sum(s.conflicts for s in summaries)),
-        final_p0_mean=float(np.mean(finals)),
-        final_p0_std=float(np.std(finals)),
-        mean_best_arm_fraction=(
-            float(np.mean([s.best_arm_fraction for s in summaries])) if scored else None
-        ),
-        mean_step_reward=mean_curve,
-    )
-    return (tuple(trajectories) if record_trajectories else ()), metrics
+            trajectories[trial] = Trajectory(trial, summary.machines, *columns[:4])
+        del columns  # released before the next trial is played
+    return (tuple(trajectories) if record_trajectories else ()), summary.metrics()
 
 
 @dataclass(frozen=True)

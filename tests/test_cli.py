@@ -2,10 +2,12 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qubit_bandit import cli, harness
 from qubit_bandit.cli import (
     _CSV_HEADER,
     _ROWS_PER_WRITE,
@@ -347,6 +349,49 @@ def test_main_runtime_failure_exits_1(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["single", "--c", "0.05", "--horizon", "50"], ["qrng", "--count", "50"]],
+    ids=["single", "qrng"],
+)
+def test_main_refuses_a_directory_output_before_playing(capsys, tmp_path, monkeypatch, argv):
+    built = []  # one entry per stream constructed
+
+    class CountingStream(harness.RandomStream):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "RandomStream", CountingStream)
+    monkeypatch.setattr(cli, "RandomStream", CountingStream)
+    code, out, err = _run(capsys, argv + ["--output", str(tmp_path)])
+    assert (code, out, len(built)) == (1, "", 0)
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    # the same run to a file plays its one stream
+    assert _run(capsys, argv + ["--output", str(tmp_path / "out")])[0] == 0
+    assert len(built) == 1
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_main_peak_memory_is_bounded_by_one_trial(tmp_path, fmt):
+    argv = ["single", "--c", "0.01", "--p1", "0.8", "--p2", "0.2", "--seed", "3"]
+    argv += ["--format", fmt, "--output", str(tmp_path / f"out.{fmt}")]
+    main(argv + ["--horizon", "5"])  # fills the update-table memo outside the measurement
+    one = _traced_peak(argv + ["--horizon", "20000", "--trials", "1"])
+    eight = _traced_peak(argv + ["--horizon", "20000", "--trials", "8"])
+    assert eight <= 1.3 * one
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,53 @@ def test_trial_loop_matches_the_per_round_reference(config):
         np.testing.assert_array_equal(metrics.mean_step_reward, np.mean(curves, axis=0))
 
 
+def _reference_curve(config):
+    """np.mean over the per-round reference's (trials, horizon) reward rows."""
+    trials = [
+        _reference_trial(config, RandomStream(config.seed, stream=trial))
+        for trial in range(config.trials)
+    ]
+    curves = [[sum(r.rewards) / config.users() for r in records] for records in trials]
+    return np.mean(curves, axis=0)
+
+
+def _ghz3(horizon, trials, seed):
+    # a round's per-user reward is a third, so the sum's order shows in its bits
+    return ExperimentConfig(
+        scenario=Scenario.GHZ,
+        n_users=3,
+        constants=(0.1, 0.05),
+        p1=0.6,
+        p2=0.3,
+        horizon=horizon,
+        trials=trials,
+        seed=seed,
+    )
+
+
+# np.mean sums one column pairwise, so a running sum over trials differs here;
+# 5,000 trials are more rounds than the summariser buffers
+@pytest.mark.parametrize("trials", [8, 100, 5000])
+def test_mean_curve_matches_numpy_at_horizon_one(trials):
+    config = _ghz3(horizon=1, trials=trials, seed=0)
+    _, metrics = run_experiment(config, record_trajectories=False)
+    assert metrics.mean_step_reward.tobytes() == _reference_curve(config).tobytes()
+
+
+def test_reversed_trial_order_keeps_metrics_bit_identical():
+    # 1,000 rounds a block more than the summariser buffers, so in order the
+    # curve folds several times while reversed every trial waits for trial 0
+    config = _ghz3(horizon=10, trials=1000, seed=8)
+    _, in_order = run_experiment(config, record_trajectories=False)
+    _, reversed_ = run_experiment(
+        config, record_trajectories=False, trial_order=range(config.trials - 1, -1, -1)
+    )
+    assert reversed_.to_dict() == in_order.to_dict()
+    assert reversed_.per_trial == in_order.per_trial
+    curve = _reference_curve(config).tobytes()
+    assert in_order.mean_step_reward.tobytes() == reversed_.mean_step_reward.tobytes() == curve
+
+
 def _counting(monkeypatch, module):
     """Count every draw of module's RandomStream and every pull the loop makes."""
     counts = {"draws": 0, "pulls": 0}
