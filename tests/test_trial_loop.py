@@ -177,8 +177,8 @@ def test_mean_curve_matches_numpy_at_horizon_one(trials):
 
 
 def test_reversed_trial_order_keeps_metrics_bit_identical():
-    # 1,000 rounds a block more than the summariser buffers, so in order the
-    # curve folds several times while reversed every trial waits for trial 0
+    # 10,000 rounds, more than the 4,096 the summariser buffers, so in order
+    # the curve folds several times while reversed every trial waits for trial 0
     config = _ghz3(horizon=10, trials=1000, seed=8)
     _, in_order = run_experiment(config, record_trajectories=False)
     _, reversed_ = run_experiment(
