@@ -46,7 +46,6 @@ __all__ = [
     "OUTPUT_DIR_ENV",
     "EmitOptions",
     "OutputRecordSet",
-    "parse_config",
     "parse_args",
     "config_to_dict",
     "config_from_metadata",
@@ -241,11 +240,6 @@ def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, Emi
     config.validate()
     fmt = values.get("format", "csv" if "format" in flags else "bits")
     return config, EmitOptions(format=fmt, output=values.get("output"))
-
-
-def parse_config(argv: Sequence[str] | None = None) -> ExperimentConfig:
-    """Flag-and-file parsing only; the run configuration without emit options."""
-    return parse_args(argv)[0]
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

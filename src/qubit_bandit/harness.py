@@ -118,13 +118,7 @@ class ExperimentConfig:
 
     def users(self) -> int:
         """Machine players per round (0 for qrng, which plays nothing)."""
-        if self.scenario is Scenario.QRNG:
-            return 0
-        if self.scenario is Scenario.SINGLE_AGENT:
-            return 1
-        if self.scenario in (Scenario.DUO_CONFLICT, Scenario.COOP_PAIR):
-            return 2
-        return self.n_users if self.n_users is not None else 0
+        return len(_trial_inputs(self)[1][0])
 
     def drift_on(self) -> bool:
         return self.drift_step > 0.0
@@ -253,13 +247,18 @@ class Metrics:
 
 
 def _trial_inputs(config: ExperimentConfig):
-    """What play_trial needs for this scenario: start p, machines per bit, constants."""
-    n = config.users()
+    """What play_trial needs for this scenario: start p, machines per bit, constants.
+
+    The machines per bit are the only statement of a scenario's players.
+    """
     if config.scenario is Scenario.QRNG:
         return config.initial_p0, ((), ()), ()
     if config.scenario is Scenario.DUO_CONFLICT:
         return config.p_first, ((0, 1), (1, 0)), ()
-    constants = config.constants if config.scenario is Scenario.GHZ else (config.c,)
+    if config.scenario is Scenario.GHZ:
+        n, constants = config.n_users or 0, config.constants
+    else:
+        n, constants = (1 if config.scenario is Scenario.SINGLE_AGENT else 2), (config.c,)
     return config.initial_p0, ((0,) * n, (1,) * n), constants
 
 
@@ -428,10 +427,10 @@ def _as_bit_array(bits: Sequence[int], minimum: int, test_name: str) -> np.ndarr
         raise ValueError(
             f"{test_name}: sequence too short, need at least {minimum} bits, got {array.size}"
         )
-    array = array.astype(np.int64)
-    if not np.all((array == 0) | (array == 1)):
+    # checked before the cast, which would truncate 0.5 to 0 and 1.9 to 1
+    if array.dtype.kind not in "biuf" or not np.all((array == 0) | (array == 1)):
         raise ValueError(f"{test_name}: sequence must contain only 0s and 1s")
-    return array
+    return array.astype(np.int64)
 
 
 def frequency_test(bits: Sequence[int]) -> RandomnessTestResult:

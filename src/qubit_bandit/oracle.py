@@ -23,15 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .policies import GhzConstants, play_trial
-from .quantum import (
-    RandomStream,
-    _check_count,
-    _check_fraction,
-    _check_probability,
-    _check_seed,
-    _first_blocks,
-)
+from .harness import ExperimentConfig, Scenario, _trials
+from .policies import GhzConstants
+from .quantum import _check_count, _check_fraction, _check_probability, _check_seed
 
 __all__ = [
     "TransitionDistribution",
@@ -289,10 +283,11 @@ def asymptotic_claim_report(
 ) -> AsymptoticReport:
     """Measure where single-agent play settles and report it against p1/(p1+p2).
 
-    Runs seeded Monte Carlo (one derived stream per trial), averages the
-    state and the machine-0 pick rate over the final window of each trial,
-    and, when the lattice fits, adds the exact chain average over the same
-    window. The report quantifies the comparison; it draws no conclusion.
+    Plays seeded Monte Carlo trials through the harness's trial source (one
+    derived stream per trial), averages the state and the machine-0 pick
+    rate over the final window of each trial, and, when the lattice fits,
+    adds the exact chain average over the same window. The report
+    quantifies the comparison; it draws no conclusion.
     """
     p1, p2, initial_p0 = _check_probabilities(p1=p1, p2=p2, initial_p0=initial_p0)
     c = _check_fraction("c", c)
@@ -306,13 +301,12 @@ def asymptotic_claim_report(
     window_steps = max(1, int(horizon * window))
     start = horizon - window_steps
 
+    config = ExperimentConfig(
+        Scenario.SINGLE_AGENT, p1, p2, c, initial_p0=initial_p0, horizon=horizon, seed=seed
+    )
     mean_states = np.empty(trials)
     zero_rates = np.empty(trials)
-    for trial, first in enumerate(_first_blocks(seed, range(trials))):
-        rng = RandomStream(seed, trial, first)
-        states, bits, _, _, _ = play_trial(
-            initial_p0, ((0,), (1,)), (c,), (p1, p2), 0.0, horizon, rng
-        )
+    for trial, (states, bits, _, _, _) in _trials(config, range(trials)):
         # the states after each round of the window, summed in round order
         state_acc = 0.0
         for state in states[start + 1 :]:

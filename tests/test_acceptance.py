@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
-from qubit_bandit.cli import main, parse_config
+from qubit_bandit.cli import main, parse_args
 from qubit_bandit.harness import ExperimentConfig, Scenario, run_experiment
 from qubit_bandit.oracle import (
     asymptotic_claim_report,
@@ -324,7 +324,7 @@ def test_10_reproducibility(tmp_path, capsys):
     capsys.readouterr()
     bytes_identical = all(first == second for first, second in paths.values())
 
-    config = parse_config(argv)
+    config = parse_args(argv)[0]
     _, in_order = run_experiment(config)
     _, permuted = run_experiment(config, trial_order=(2, 0, 1))
     aggregates_identical = (

@@ -18,7 +18,6 @@ from qubit_bandit.cli import (
     emit,
     main,
     parse_args,
-    parse_config,
     read_csv_metadata,
 )
 from qubit_bandit.harness import ConfigError, ExperimentConfig, Scenario, run_experiment
@@ -59,7 +58,7 @@ def _with_file(tmp_path, argv, file_text):
 
 
 def test_parse_single_with_defaults():
-    config = parse_config(["single", "--c", "0.1"])
+    config = parse_args(["single", "--c", "0.1"])[0]
     assert config.scenario is Scenario.SINGLE_AGENT
     assert config.c == 0.1
     assert config.p1 == 0.5 and config.p2 == 0.5
@@ -70,36 +69,36 @@ def test_parse_single_with_defaults():
 
 
 def test_parse_ghz_constants_list():
-    config = parse_config(["ghz", "--n", "5", "--constants", "0.1, 0.05, 0.01"])
+    config = parse_args(["ghz", "--n", "5", "--constants", "0.1, 0.05, 0.01"])[0]
     assert config.scenario is Scenario.GHZ
     assert config.n_users == 5
     assert config.constants == (0.1, 0.05, 0.01)
 
 
 def test_parse_duo_bias_flag():
-    config = parse_config(["duo-conflict", "--p-first", "0.75"])
+    config = parse_args(["duo-conflict", "--p-first", "0.75"])[0]
     assert config.p_first == 0.75
 
 
 def test_parse_reports_missing_required_values():
     with pytest.raises(ConfigError, match="^c: required"):
-        parse_config(["single"])
+        parse_args(["single"])
     with pytest.raises(ConfigError, match="^count: required"):
-        parse_config(["qrng"])
+        parse_args(["qrng"])
     with pytest.raises(ConfigError, match="^constants: required"):
-        parse_config(["ghz", "--n", "3"])
+        parse_args(["ghz", "--n", "3"])
 
 
 def test_parse_rejects_malformed_constants():
     with pytest.raises(ConfigError, match="constants"):
-        parse_config(["ghz", "--n", "3", "--constants", "0.1,abc"])
+        parse_args(["ghz", "--n", "3", "--constants", "0.1,abc"])
     with pytest.raises(ConfigError, match="^constants:"):
-        parse_config(["ghz", "--n", "5", "--constants", "0.1,0.05"])
+        parse_args(["ghz", "--n", "5", "--constants", "0.1,0.05"])
 
 
 def test_parse_validates_through_experiment_config():
     with pytest.raises(ConfigError, match="^p1:"):
-        parse_config(["single", "--c", "0.1", "--p1", "1.5"])
+        parse_args(["single", "--c", "0.1", "--p1", "1.5"])
 
 
 def test_parse_emit_options():
@@ -126,7 +125,7 @@ def test_config_file_supplies_values_and_flags_win(tmp_path):
         "drift-step=0.01\n"
         "c=0.2\n"
     )
-    config = parse_config(["single", "--config", str(path), "--p1", "0.7"])
+    config = parse_args(["single", "--config", str(path), "--p1", "0.7"])[0]
     assert config.p1 == 0.7  # flag beats file
     assert config.p2 == 0.1  # file beats default
     assert config.horizon == 50
@@ -138,7 +137,7 @@ def test_config_file_supplies_values_and_flags_win(tmp_path):
 def test_config_file_can_satisfy_required_keys(tmp_path):
     path = tmp_path / "ghz.cfg"
     path.write_text("n=3\nconstants=0.1,0.05\n")
-    config = parse_config(["ghz", "--config", str(path)])
+    config = parse_args(["ghz", "--config", str(path)])[0]
     assert config.n_users == 3
     assert config.constants == (0.1, 0.05)
 
@@ -147,26 +146,26 @@ def test_config_file_unknown_key_is_an_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("warp_speed=9\n")
     with pytest.raises(ConfigError, match="unknown key 'warp_speed'"):
-        parse_config(["single", "--c", "0.1", "--config", str(path)])
+        parse_args(["single", "--c", "0.1", "--config", str(path)])
 
 
 def test_config_file_malformed_line_is_an_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just some words\n")
     with pytest.raises(ConfigError, match="line 1"):
-        parse_config(["single", "--c", "0.1", "--config", str(path)])
+        parse_args(["single", "--c", "0.1", "--config", str(path)])
 
 
 def test_config_file_missing_is_an_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
-        parse_config(["single", "--c", "0.1", "--config", str(tmp_path / "absent.cfg")])
+        parse_args(["single", "--c", "0.1", "--config", str(tmp_path / "absent.cfg")])
 
 
 def test_config_file_bad_value_type_is_an_error(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("horizon=soon\n")
     with pytest.raises(ConfigError, match="invalid value for 'horizon'"):
-        parse_config(["single", "--c", "0.1", "--config", str(path)])
+        parse_args(["single", "--c", "0.1", "--config", str(path)])
 
 
 # one value per config key, none of them a default
@@ -464,7 +463,7 @@ def test_csv_metadata_replays_the_exact_run(capsys):
     ]
     _, out, _ = _run(capsys, argv)
     replayed = config_from_metadata(read_csv_metadata(out.splitlines()))
-    assert replayed == parse_config(argv)
+    assert replayed == parse_args(argv)[0]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -487,14 +486,14 @@ def test_metadata_replays_every_scenario_with_drift(capsys, argv, fmt):
         metadata = read_csv_metadata(out.splitlines())
     else:
         metadata = json.loads(out)["metadata"]["config"]
-    assert config_from_metadata(metadata) == parse_config(argv)
+    assert config_from_metadata(metadata) == parse_args(argv)[0]
 
 
 def test_csv_metadata_replays_long_decimals_exactly(capsys):
     _, out, _ = _run(capsys, _LONG_DECIMALS)
     assert "# c=0.0123456789012345" in out.splitlines()
     replayed = config_from_metadata(read_csv_metadata(out.splitlines()))
-    assert replayed == parse_config(_LONG_DECIMALS)
+    assert replayed == parse_args(_LONG_DECIMALS)[0]
 
 
 def test_numpy_config_values_emit_the_same_bytes():
@@ -557,11 +556,11 @@ def test_json_output_round_trips(capsys):
     assert step["update_direction"] in ("toward0", "toward1")
 
     replayed = config_from_metadata(payload["metadata"]["config"])
-    assert replayed == parse_config(argv[: -2])
+    assert replayed == parse_args(argv[: -2])[0]
 
     _, long_out, _ = _run(capsys, _LONG_DECIMALS + ["--format", "json"])
     long_config = json.loads(long_out)["metadata"]["config"]
-    assert config_from_metadata(long_config) == parse_config(_LONG_DECIMALS)
+    assert config_from_metadata(long_config) == parse_args(_LONG_DECIMALS)[0]
 
     _, again, _ = _run(capsys, argv)
     assert out == again
@@ -591,7 +590,7 @@ def test_json_and_csv_agree_on_metrics(capsys):
 
 
 def test_emit_handles_zero_rows_and_file_objects():
-    config = parse_config(["single", "--c", "0.1", "--horizon", "5"])
+    config = parse_args(["single", "--c", "0.1", "--horizon", "5"])[0]
     recordset = build_recordset(config, (), None)
     buffer = io.StringIO()
     emit(recordset, "csv", buffer)
@@ -605,13 +604,13 @@ def test_emit_handles_zero_rows_and_file_objects():
 
 
 def test_emit_rejects_unknown_format():
-    config = parse_config(["single", "--c", "0.1"])
+    config = parse_args(["single", "--c", "0.1"])[0]
     with pytest.raises(ValueError):
         emit(build_recordset(config, (), None), "xml", io.StringIO())
 
 
 def test_config_to_dict_masks_unused_fields():
-    config = parse_config(["single", "--c", "0.1"])
+    config = parse_args(["single", "--c", "0.1"])[0]
     as_dict = config_to_dict(config)
     assert as_dict["constants"] is None
     assert as_dict["n_users"] is None

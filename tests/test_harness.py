@@ -41,6 +41,7 @@ def test_user_counts_per_scenario():
     assert ExperimentConfig(scenario=Scenario.COOP_PAIR, c=0.1).users() == 2
     ghz = ExperimentConfig(scenario=Scenario.GHZ, n_users=5, constants=(0.1, 0.05, 0.01))
     assert ghz.users() == 5
+    assert ExperimentConfig(scenario=Scenario.GHZ).users() == 0
 
 
 @pytest.mark.parametrize(
@@ -342,6 +343,34 @@ def test_frequency_test_rejects_non_bits():
         frequency_test([0, 1, 2] * 100)
     with pytest.raises(ValueError):
         frequency_test(np.zeros((10, 100), dtype=int))
+
+
+_RANDOMNESS_TESTS = [(frequency_test, 100), (chi_square_pairs_test, 1000)]
+
+
+@pytest.mark.parametrize(
+    "half_bits",
+    [[0.5, 0.5], [1.9, 0], ["1", "1"]],
+    ids=["half", "truncates-to-one", "text"],
+)
+@pytest.mark.parametrize("check,minimum", _RANDOMNESS_TESTS, ids=["frequency", "pairs"])
+def test_randomness_tests_reject_values_a_cast_would_make_bits(check, minimum, half_bits):
+    # each value fills half the sequence; a cast to int would read 0.5 as 0 and 1.9 as 1
+    bits = [half_bits[0]] * (minimum // 2) + [half_bits[1]] * (minimum // 2)
+    with pytest.raises(ValueError, match=f"{check.__name__}: sequence must contain only 0s and 1s"):
+        check(bits)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[False, True], [0.0, 1.0]],
+    ids=["bools", "floats"],
+)
+@pytest.mark.parametrize("check,minimum", _RANDOMNESS_TESTS, ids=["frequency", "pairs"])
+def test_randomness_tests_read_bools_and_exact_floats_as_bits(check, minimum, pair):
+    # ints and the uint8 arrays sample_bits returns have tests of their own
+    bits = pair * (minimum // 2)
+    assert check(bits) == check([0, 1] * (minimum // 2))
 
 
 def test_chi_square_pairs_alternating_bits_fail():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qubit_bandit import oracle
+from qubit_bandit import harness, oracle
 from qubit_bandit.oracle import (
     TransitionDistribution,
     asymptotic_claim_report,
@@ -452,5 +452,5 @@ def test_asymptotic_report_streams_equal_seed_sequence_streams(monkeypatch, seed
         # every trial's stream built on its own instead of handed a bulk first block
         return RandomStream(seed, stream)
 
-    monkeypatch.setattr(oracle, "RandomStream", reference)
+    monkeypatch.setattr(harness, "RandomStream", reference)
     assert asymptotic_claim_report(0.7, 0.4, 0.05, horizon=300, trials=12, seed=seed) == bulk

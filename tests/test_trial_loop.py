@@ -237,7 +237,7 @@ def test_run_experiment_keeps_the_draw_contract(monkeypatch, settings_, draws, p
 
 
 def test_asymptotic_report_keeps_the_draw_contract(monkeypatch):
-    counts = _counting(monkeypatch, oracle)
+    counts = _counting(monkeypatch, harness)
     oracle.asymptotic_claim_report(0.7, 0.4, 0.1, horizon=9, trials=4)
     assert counts == {"draws": 2 * 9 * 4, "pulls": 9 * 4}
 
