@@ -9,6 +9,7 @@ stream's first block of draws.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -213,8 +214,10 @@ class Metrics:
 
     regret is realized per-user regret against the fixed best arm,
     horizon * max(p1, p2) - reward; its mean is non-negative, though a lucky
-    single trial can dip below zero. mean_step_reward averages over trials
-    and users, so regret over any round window is recoverable via regret_over.
+    single trial can dip below zero. mean_step_reward is each round's mean
+    reward over trials and users: the exact reward count over the number of
+    plays, correctly rounded. Regret over any round window is recoverable
+    via regret_over.
     """
 
     n_trials: int
@@ -278,20 +281,15 @@ def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[tuple[in
         )
 
 
-# reward-curve rounds the summariser buffers before folding them into its
-# running sum: 32 KB of float64, so a trial longer than this folds alone
-_FOLD_ROUNDS = 4096
-
-
 class _Summary:
     """The summariser: folds trials, handed over in any order, into their
     TrialMetrics, the mean reward curve and the run's Metrics.
 
-    The curve sums rows in trial-index order, as np.mean over a (trials,
-    horizon) array does, so out-of-order trials wait for their turn. In
-    order, rows are folded a block at a time and memory stays bounded by
-    _FOLD_ROUNDS plus one trial. np.mean sums a single column pairwise,
-    not row by row, so at horizon 1 every row waits for one sum at the end.
+    The curve is kept as each round's reward count summed over trials, in
+    exact integers, so the order trials arrive in cannot change it and
+    memory stays bounded by one trial. metrics() divides each count once by
+    users × trials, both exact as float64, so mean_step_reward is the
+    correctly rounded mean of exact reward counts.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
@@ -311,14 +309,13 @@ class _Summary:
         if config.scenario is Scenario.DUO_CONFLICT:
             self.colliding = [bit for bit, (u, v) in enumerate(machines) if u == v]
         self.per_trial: list[TrialMetrics | None] = [None] * config.trials
-        self.waiting: dict[int, list[int]] = {}  # rewarded columns ahead of their turn
-        self.block: list[list[int]] = []  # rewarded columns in turn, not yet folded
-        self.turn = 0  # the trial whose column the curve takes next
-        self.curve_sum: np.ndarray | None = None
+        # per round, the reward count summed over the trials added so far;
+        # qrng plays no machine, and its horizon is a bit count
+        self.counts = [0] * config.horizon if n_users else []
 
     def add(self, trial: int, columns: tuple) -> None:
-        """Summarise one trial from play_trial's columns; keep its rewarded
-        column for the curve."""
+        """Summarise one trial from play_trial's columns; add its per-round
+        reward counts to the curve's."""
         states, bits, _, _, rewarded = columns
         total_reward = sum(rewarded)
         regret: float | None = None
@@ -333,23 +330,7 @@ class _Summary:
         self.per_trial[trial] = TrialMetrics(
             trial, total_reward, regret, conflicts, states[-1], best_fraction
         )
-        if not self.n_users:
-            return
-        self.waiting[trial] = rewarded
-        while self.turn in self.waiting:
-            self.block.append(self.waiting.pop(self.turn))
-            self.turn += 1
-        if self.horizon > 1 and len(self.block) * self.horizon >= _FOLD_ROUNDS:
-            self._fold()
-
-    def _fold(self) -> None:
-        """Add the block's per-user reward rows to the running sum, in order."""
-        rows = np.array(self.block, dtype=float)
-        self.block = []
-        rows /= self.n_users
-        if self.curve_sum is not None:
-            rows = np.vstack((self.curve_sum, rows))
-        self.curve_sum = np.add.reduce(rows, axis=0)
+        self.counts = list(map(operator.add, self.counts, rewarded))
 
     def metrics(self) -> Metrics:
         """The run's Metrics, once every trial has been added."""
@@ -357,10 +338,7 @@ class _Summary:
         finals = np.array([s.final_p0 for s in summaries])
         mean_curve = None
         if self.n_users:
-            if self.block:
-                self._fold()
-            # np.mean(curves, axis=0) is this sum over the trial count
-            mean_curve = self.curve_sum / config.trials
+            mean_curve = np.array(self.counts, dtype=float) / (self.n_users * config.trials)
         return Metrics(
             n_trials=config.trials,
             horizon=config.horizon,
@@ -420,7 +398,10 @@ class RandomnessTestResult:
 
 
 def _as_bit_array(bits: Sequence[int], minimum: int, test_name: str) -> np.ndarray:
-    array = np.asarray(bits)
+    try:
+        array = np.asarray(bits)
+    except ValueError as exc:  # a ragged sequence has no array shape
+        raise ValueError(f"{test_name}: expected a flat bit sequence") from exc
     if array.ndim != 1:
         raise ValueError(f"{test_name}: expected a flat bit sequence")
     if array.size < minimum:

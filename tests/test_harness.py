@@ -1,6 +1,7 @@
 """Tests for the experiment runner, metrics, and bit-stream checks."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,26 @@ def test_trial_order_only_permutes_execution():
     np.testing.assert_array_equal(
         metrics_reversed.mean_step_reward, metrics_in_order.mean_step_reward
     )
+
+
+def _traced_peak(config, order):
+    tracemalloc.start()
+    try:
+        run_experiment(config, record_trajectories=False, trial_order=order)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_is_bounded_by_one_trial_whatever_the_order():
+    # reversed, every trial arrives before trial 0 does, so a summariser that
+    # adds trials in index order would hold all sixteen
+    config, lone = _single_config(horizon=2_000, trials=16), _single_config(horizon=2_000, trials=1)
+    # fills the update-table memo and the refill jump tables outside the measurement
+    run_experiment(lone)
+    one = _traced_peak(lone, None)
+    reversed_ = _traced_peak(config, range(config.trials - 1, -1, -1))
+    assert reversed_ <= 1.3 * one
 
 
 def test_trial_order_must_be_a_permutation():
@@ -346,6 +367,16 @@ def test_frequency_test_rejects_non_bits():
 
 
 _RANDOMNESS_TESTS = [(frequency_test, 100), (chi_square_pairs_test, 1000)]
+
+
+@pytest.mark.parametrize("check,minimum", _RANDOMNESS_TESTS, ids=["frequency", "pairs"])
+def test_randomness_tests_name_themselves_on_a_ragged_sequence(check, minimum):
+    # numpy cannot shape the last, shorter pair into an array
+    bits = [[0, 1]] * minimum + [[0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{check.__name__}: expected a flat bit sequence$"):
+            check(bits)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ single 2 draws, coop 3, GHZ n + 1, duo 3, qrng 1, plus 2 with drift on for
 the scenarios that play machines.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,23 +140,34 @@ def test_trial_loop_matches_the_per_round_reference(config):
     ]
     assert [t.records for t in trajectories] == reference
     assert metrics.to_dict() == _reference_metrics(config, reference)
-    if config.users():
-        curves = [[sum(r.rewards) / config.users() for r in records] for records in reference]
+    n = config.users()
+    if n:
+        np.testing.assert_array_equal(metrics.mean_step_reward, _exact_mean(config, reference))
+    if n in (1, 2, 4):
+        # per-user rewards are dyadic, so numpy's float sum is exact as well
+        curves = [[sum(r.rewards) / n for r in records] for records in reference]
         np.testing.assert_array_equal(metrics.mean_step_reward, np.mean(curves, axis=0))
 
 
+def _exact_mean(config, trials):
+    """Each round's reward over trials and users, as an exact Fraction rounded once."""
+    plays = config.users() * len(trials)
+    counts = [sum(sum(r.rewards) for r in round_) for round_ in zip(*trials)]
+    return np.array([float(Fraction(count, plays)) for count in counts])
+
+
 def _reference_curve(config):
-    """np.mean over the per-round reference's (trials, horizon) reward rows."""
+    """The exact mean reward curve of the per-round reference's trials."""
     trials = [
         _reference_trial(config, RandomStream(config.seed, stream=trial))
         for trial in range(config.trials)
     ]
-    curves = [[sum(r.rewards) / config.users() for r in records] for records in trials]
-    return np.mean(curves, axis=0)
+    return _exact_mean(config, trials)
 
 
 def _ghz3(horizon, trials, seed):
-    # a round's per-user reward is a third, so the sum's order shows in its bits
+    # a round's per-user reward is a third, so a float sum over trials would
+    # round in an order-dependent way
     return ExperimentConfig(
         scenario=Scenario.GHZ,
         n_users=3,
@@ -167,18 +180,18 @@ def _ghz3(horizon, trials, seed):
     )
 
 
-# np.mean sums one column pairwise, so a running sum over trials differs here;
-# 5,000 trials are more rounds than the summariser buffers
+# np.mean sums one column pairwise, so a float running sum over trials would
+# differ from it and from the exact mean here
 @pytest.mark.parametrize("trials", [8, 100, 5000])
-def test_mean_curve_matches_numpy_at_horizon_one(trials):
+def test_mean_curve_matches_exact_mean_at_horizon_one(trials):
     config = _ghz3(horizon=1, trials=trials, seed=0)
     _, metrics = run_experiment(config, record_trajectories=False)
     assert metrics.mean_step_reward.tobytes() == _reference_curve(config).tobytes()
 
 
 def test_reversed_trial_order_keeps_metrics_bit_identical():
-    # 10,000 rounds, more than the 4,096 the summariser buffers, so in order
-    # the curve folds several times while reversed every trial waits for trial 0
+    # reversed, every trial is added before trial 0, and the curve of thirds
+    # must still come out as the exact mean
     config = _ghz3(horizon=10, trials=1000, seed=8)
     _, in_order = run_experiment(config, record_trajectories=False)
     _, reversed_ = run_experiment(
