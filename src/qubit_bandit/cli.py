@@ -266,6 +266,9 @@ def config_from_metadata(metadata: dict) -> ExperimentConfig:
 
     Accepts either the JSON form (native types) or the CSV form (strings).
     """
+    for name in ("scenario", "constants", *_FIELD_TYPES):
+        if name not in metadata:
+            raise ConfigError(f"{name}: missing from the metadata")
     return ExperimentConfig(
         scenario=Scenario(str(metadata["scenario"])),
         constants=_meta_value(metadata["constants"], _parse_constants),

@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .harness import ExperimentConfig, Scenario, _trials
 from .policies import GhzConstants
-from .quantum import _check_count, _check_fraction, _check_probability, _check_seed
+from .quantum import _check_count, _check_fraction, _check_probability
 
 __all__ = [
     "TransitionDistribution",
@@ -59,13 +61,14 @@ class TransitionDistribution:
         for state, prob in self.outcomes:
             if not 0.0 <= state <= 1.0:
                 raise ValueError(f"state {state!r} outside [0, 1]")
-            if prob < 0.0:
+            # negated comparisons, here and for the sum, so NaN fails them
+            if not prob >= 0.0:
                 raise ValueError(f"negative probability {prob!r} for state {state!r}")
             if previous is not None and state <= previous:
                 raise ValueError("outcomes must be sorted by state with no duplicates")
             previous = state
             total += prob
-        if abs(total - 1.0) > _PROB_SUM_TOL:
+        if not abs(total - 1.0) <= _PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1 within {_PROB_SUM_TOL}")
 
     def probabilities(self) -> dict[float, float]:
@@ -196,9 +199,13 @@ def _lattice_chain(
     return values, index[start], targets, weights
 
 
-def _step(mass: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Advance a distribution over lattice states by one round of the chain."""
-    return np.bincount(targets, (weights * mass).ravel(), len(mass))
+def _chain(start_index: int, targets: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:
+    """The distribution over _lattice_chain's states after 0, 1, 2, ... rounds."""
+    mass = np.zeros(weights.shape[1])
+    mass[start_index] = 1.0
+    while True:
+        yield mass
+        mass = np.bincount(targets, (weights * mass).ravel(), len(mass))
 
 
 def evolve_distribution(
@@ -218,10 +225,7 @@ def evolve_distribution(
     horizon = _check_count("horizon", horizon, 0)
     max_states = _check_count("max_states", max_states, 1)
     values, start_index, targets, weights = _lattice_chain(p0, p1, p2, c, max_states)
-    mass = np.zeros(len(values))
-    mass[start_index] = 1.0
-    for _ in range(horizon):
-        mass = _step(mass, targets, weights)
+    mass = next(islice(_chain(start_index, targets, weights), horizon, None))
     # distinct rationals can collapse to one float once a boundary re-anchors
     # the lattice within an ulp of an older point; merge their masses
     return _merged(list(zip(values.tolist(), mass.tolist())))
@@ -287,23 +291,21 @@ def asymptotic_claim_report(
     derived stream per trial), averages the state and the machine-0 pick
     rate over the final window of each trial, and, when the lattice fits,
     adds the exact chain average over the same window. The report
-    quantifies the comparison; it draws no conclusion.
+    quantifies the comparison; it draws no conclusion. A bad run field raises
+    the ConfigError run_experiment raises.
     """
-    p1, p2, initial_p0 = _check_probabilities(p1=p1, p2=p2, initial_p0=initial_p0)
-    c = _check_fraction("c", c)
-    horizon = _check_count("horizon", horizon, 1)
+    run = dict(initial_p0=initial_p0, horizon=horizon, seed=seed, window=window)
+    config = ExperimentConfig(Scenario.SINGLE_AGENT, p1, p2, c, **run)
+    config.validate()
     trials = _check_count("trials", trials, 2)
     max_states = _check_count("max_states", max_states, 1)
-    window = _check_fraction("window", window)
-    seed = _check_seed(seed)
+    p1, p2, c, initial_p0 = config.p1, config.p2, config.c, config.initial_p0
+    horizon, seed, window = config.horizon, config.seed, config.window
     if p1 + p2 <= 0.0:
         raise ValueError("p1 + p2 must be positive for the reward-share ratio")
     window_steps = max(1, int(horizon * window))
     start = horizon - window_steps
 
-    config = ExperimentConfig(
-        Scenario.SINGLE_AGENT, p1, p2, c, initial_p0=initial_p0, horizon=horizon, seed=seed
-    )
     mean_states = np.empty(trials)
     zero_rates = np.empty(trials)
     for trial, (states, bits, _, _, _) in _trials(config, range(trials)):
@@ -324,13 +326,10 @@ def asymptotic_claim_report(
     except ValueError:
         chain_mean_p0 = None
     else:
-        mass = np.zeros(len(values))
-        mass[start_index] = 1.0
+        # the means after rounds start + 1 .. horizon, summed in round order
         acc = 0.0
-        for step in range(horizon):
-            mass = _step(mass, targets, weights)
-            if step >= start:
-                acc += float(values @ mass)
+        for mass in islice(_chain(start_index, targets, weights), start + 1, horizon + 1):
+            acc += float(values @ mass)
         chain_mean_p0 = acc / window_steps
 
     return AsymptoticReport(

@@ -26,7 +26,6 @@ from .quantum import (
     _TOWARD_ZERO,
     _check_count,
     _check_fraction,
-    _is_number,
     measure_pair,
     sample_bit,
     shift_probability,
@@ -71,16 +70,10 @@ class GhzConstants:
     constants: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(self.constants)
-        if not all(_is_number(v) for v in values):
-            raise ValueError(f"constants must all be numbers, got {values!r}")
-        values = tuple(float(v) for v in values)
+        values = tuple(_check_fraction("constants", v) for v in self.constants)
         object.__setattr__(self, "constants", values)
         if len(values) == 0:
             raise ValueError("constants must not be empty")
-        # also rejects NaN, since both comparisons come back False
-        if not all(0.0 < v <= 1.0 for v in values):
-            raise ValueError(f"constants must all be in (0, 1], got {values}")
         for earlier, later in zip(values, values[1:]):
             if not earlier > later:
                 raise ValueError(f"constants must be strictly decreasing, got {values}")

@@ -380,6 +380,9 @@ class RandomStream:
 
 def sample_bit(p_zero: float, rng: RandomStream) -> int:
     """Draw one bit that reads 0 with probability p_zero. Consumes one draw."""
+    # a float (numpy float64 included) skips the slower check, which rejects bools
+    if not (isinstance(p_zero, float) or _is_number(p_zero)) or not 0.0 <= p_zero <= 1.0:
+        raise ValueError(f"p_zero must be in [0, 1], got {p_zero!r}")
     return 0 if rng.uniform() < p_zero else 1
 
 

@@ -575,6 +575,20 @@ def test_json_metadata_bools_fail_validation(key, value):
         config_from_metadata(metadata).validate()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("key", ["scenario", "constants", "p1", "seed", "window"])
+def test_metadata_missing_a_field_names_it(capsys, key, fmt):
+    argv = ["single", "--c", "0.1", "--horizon", "2", "--format", fmt]
+    _, out, _ = _run(capsys, argv)
+    if fmt == "csv":
+        metadata = read_csv_metadata(out.splitlines())
+    else:
+        metadata = json.loads(out)["metadata"]["config"]
+    del metadata[key]
+    with pytest.raises(ConfigError, match=f"^{key}: missing from the metadata$"):
+        config_from_metadata(metadata)
+
+
 def test_json_and_csv_agree_on_metrics(capsys):
     argv = ["single", "--c", "0.1", "--horizon", "10", "--seed", "3"]
     _, csv_text, _ = _run(capsys, argv)

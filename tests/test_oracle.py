@@ -59,6 +59,11 @@ def test_distribution_rejects_bad_probabilities():
         TransitionDistribution(((0.4, 0.3), (0.6, 0.3)))
     with pytest.raises(ValueError):
         TransitionDistribution(((1.4, 1.0),))
+    # NaN compares False both ways, so neither the sign nor the sum check may compare it plainly
+    with pytest.raises(ValueError):
+        TransitionDistribution(((0.5, float("nan")),))
+    with pytest.raises(ValueError):
+        TransitionDistribution(((0.2, float("nan")), (0.5, 1.0)))
 
 
 # ---------------------------------------------------------------------------

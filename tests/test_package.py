@@ -1,6 +1,8 @@
-"""The package's public names and what importing the package loads."""
+"""The package's public names, its imports and what importing it loads."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -15,6 +17,60 @@ def test_public_names_are_the_union_of_the_module_lists():
         assert getattr(qubit_bandit, name) is not None
     modules = (quantum, bandit, policies, oracle, harness)
     assert set(names) == {"__version__"}.union(*(m.__all__ for m in modules))
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Module-level imported names that path never reads and does not export.
+
+    Imports marked "# noqa: F401" are kept on purpose and are skipped.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        node.value
+        for statement in tree.body
+        if isinstance(statement, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in statement.targets)
+        for node in ast.walk(statement.value)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    unused = []
+    for statement in tree.body:
+        if not isinstance(statement, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(statement, ast.ImportFrom) and statement.module == "__future__":
+            continue
+        span = lines[statement.lineno - 1 : statement.end_lineno]
+        if any("# noqa: F401" in line for line in span):
+            continue
+        for alias in statement.names:
+            # "import a.b" binds a
+            name = alias.asname or alias.name.partition(".")[0]
+            if name != "*" and name not in read and name not in exported:
+                unused.append(f"{path.name}:{statement.lineno}: {name}")
+    return unused
+
+
+def test_modules_import_no_unused_names():
+    package = pathlib.Path(qubit_bandit.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 8
+    assert [name for path in modules for name in _unused_imports(path)] == []
+
+
+def test_unused_import_check_finds_an_unused_name(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import math\n"
+        "import os.path\n"
+        "from json import dumps, loads\n"
+        "from sys import argv  # noqa: F401\n"
+        "__all__ = ['loads']\n"
+        "print(os.sep)\n"
+    )
+    assert _unused_imports(module) == ["module.py:1: math", "module.py:3: dumps"]
 
 
 def _fresh_python(code: str) -> str:

@@ -228,6 +228,14 @@ def test_sample_bit_edge_probabilities():
     assert all(sample_bit(0.0, rng) == 1 for _ in range(100))
 
 
+@pytest.mark.parametrize(
+    "p_zero", [1.5, -0.1, float("nan"), True, np.True_], ids=["high", "low", "nan", "bool", "np-bool"]
+)
+def test_sample_bit_rejects_out_of_range_probability(p_zero):
+    with pytest.raises(ValueError, match="p_zero"):
+        sample_bit(p_zero, RandomStream(0))
+
+
 def test_sample_bits_matches_scalar_loop():
     a = RandomStream(11)
     b = RandomStream(11)
