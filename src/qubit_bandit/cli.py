@@ -32,6 +32,7 @@ from .harness import (
     Scenario,
     Trajectory,
     _Summary,
+    _naming,
     _trials,
     chi_square_pairs_test,
     frequency_test,
@@ -269,11 +270,14 @@ def config_from_metadata(metadata: dict) -> ExperimentConfig:
     for name in ("scenario", "constants", *_FIELD_TYPES):
         if name not in metadata:
             raise ConfigError(f"{name}: missing from the metadata")
-    return ExperimentConfig(
-        scenario=Scenario(str(metadata["scenario"])),
-        constants=_meta_value(metadata["constants"], _parse_constants),
-        **{name: _meta_value(metadata[name], cast) for name, cast in _FIELD_TYPES.items()},
-    )
+    with _naming("scenario"):
+        scenario = Scenario(str(metadata["scenario"]))
+    values = {}
+    for name, cast in _FIELD_TYPES.items():
+        with _naming(name):
+            values[name] = _meta_value(metadata[name], cast)
+    constants = _meta_value(metadata["constants"], _parse_constants)
+    return ExperimentConfig(scenario=scenario, constants=constants, **values)
 
 
 def read_csv_metadata(lines) -> dict[str, str]:

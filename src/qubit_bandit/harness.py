@@ -19,18 +19,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 # bench/tracer.py wraps the per-round reference functions under these
-# harness names, so they stay importable here although the run path calls
-# play_trial instead
+# harness names, so they stay importable here although the run path plays
+# every trial through play_trials instead
 from .bandit import drift_step  # noqa: F401
 from .policies import (  # noqa: F401
-    GhzConstants,
-    StepRecord,
     coop_pair_step,
     ghz_step,
-    play_trial,
     single_agent_step,
 )
+from .policies import GhzConstants, StepRecord, _draws_per_round, play_trials
 from .quantum import (
+    _BLOCK_START,
     Direction,
     RandomStream,
     _check_count,
@@ -157,7 +156,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One trial as per-round columns, in the layout play_trial returns.
+    """One trial as per-round columns, in the layout play_trials yields.
 
     Round t reads states[t] and leaves states[t + 1], measures bits[t],
     sends the users to machines[bits[t]], collects n rewards and applies
@@ -250,7 +249,7 @@ class Metrics:
 
 
 def _trial_inputs(config: ExperimentConfig):
-    """What play_trial needs for this scenario: start p, machines per bit, constants.
+    """What play_trials needs for this scenario: start p, machines per bit, constants.
 
     The machines per bit are the only statement of a scenario's players.
     """
@@ -266,19 +265,26 @@ def _trial_inputs(config: ExperimentConfig):
 
 
 def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[tuple[int, tuple]]:
-    """The trial source: (trial, play_trial's columns) for each trial of
+    """The trial source: (trial, play_trials' columns) for each trial of
     order, played when asked for.
 
-    Nothing here keeps a trial once it is handed over, so a consumer that
-    drops each trial before asking for the next holds one trial at a time.
+    Each trial's stream gets its first block in bulk, sized to the draws
+    the trial makes up to _BLOCK_START. Nothing here keeps a trial once it
+    is handed over, so a consumer that drops each trial before asking for
+    the next holds one trial at a time.
     """
     start, machines, constants = _trial_inputs(config)
-    arms = (config.p1, config.p2)
-    for trial, first in zip(order, _first_blocks(config.seed, order)):
-        stream = RandomStream(config.seed, trial, first)
-        yield trial, play_trial(
-            start, machines, constants, arms, config.drift_step, config.horizon, stream
-        )
+    seed, drift, horizon = config.seed, config.drift_step, config.horizon
+    size = min(_BLOCK_START, horizon * _draws_per_round(len(machines[0]), drift))
+    streams = (
+        RandomStream(seed, trial, first)
+        for trial, first in zip(order, _first_blocks(seed, order, size))
+    )
+    played = play_trials(start, machines, constants, (config.p1, config.p2), drift, horizon, streams)
+    # next() rather than zip: zip would hold the last trial's columns while
+    # the next trial is played
+    for trial in order:
+        yield trial, next(played)
 
 
 class _Summary:
@@ -314,7 +320,7 @@ class _Summary:
         self.counts = [0] * config.horizon if n_users else []
 
     def add(self, trial: int, columns: tuple) -> None:
-        """Summarise one trial from play_trial's columns; add its per-round
+        """Summarise one trial from play_trials' columns; add its per-round
         reward counts to the curve's."""
         states, bits, _, _, rewarded = columns
         total_reward = sum(rewarded)

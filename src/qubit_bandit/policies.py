@@ -6,15 +6,16 @@ cooperative update for two users on replicated pairs, and a majority-vote
 update for n users on a shared GHZ register. Single and cooperative play
 are the one- and two-user cases of the majority round. The step functions
 play one round each: state in, (new state, record) out, randomness only
-through the given stream. play_trial runs the same rules for a whole trial
-of any scenario and returns per-round columns; it is what the harness runs,
-and the step functions are its per-round reference.
+through the given stream. play_trials runs the same rules for every trial
+of a run, of any scenario, and yields each trial's per-round columns; it is
+what the harness runs, and the step functions are its per-round reference.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .bandit import ReplicatedBandit, TwoArmBandit, pull
 from .quantum import (
@@ -40,7 +41,7 @@ __all__ = [
     "coop_pair_step",
     "majority_update_rule",
     "ghz_step",
-    "play_trial",
+    "play_trials",
 ]
 
 
@@ -231,7 +232,7 @@ def ghz_step(
 
 
 class _Machine:
-    """A reward probability that play_trial's drift moves in place."""
+    """A reward probability that play_trials' drift moves in place."""
 
     __slots__ = ("p_reward",)
 
@@ -239,14 +240,13 @@ class _Machine:
         self.p_reward = p_reward
 
 
-# a run builds its update table once and its trials share it (building one
-# takes a few microseconds, which runs of short trials would pay per
-# trial); the tables are immutable, and the cache is kept small so a sweep
-# over many constants does not grow it
+# play_trials builds a run's update table once; the tables are immutable,
+# so runs with the same constants share one, and the cache is kept small so
+# a sweep over many constants does not grow it
 @functools.lru_cache(maxsize=64)
 def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
     """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
-    after reading bit. This is play_trial's only toward-zero decision."""
+    after reading bit. This is play_trials' only toward-zero decision."""
     no_update = (None, 0.0)
     return tuple(
         tuple(
@@ -262,21 +262,28 @@ def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
     )
 
 
-def play_trial(
+def _draws_per_round(n: int, drift: float) -> int:
+    """The draw contract: the bit, one pull per user, and with drift, when
+    users play, one step per machine."""
+    return 1 + n + (2 if drift > 0.0 and n > 0 else 0)
+
+
+def play_trials(
     p: float,
     machines: tuple[tuple[int, ...], tuple[int, ...]],
     constants: tuple[float, ...],
     arms: tuple[float, float],
     drift: float,
     horizon: int,
-    rng: RandomStream,
-) -> tuple[list[float], list[int], list[int], list, list[int]]:
-    """Play one whole trial of any scenario; return it as per-round columns.
+    streams: Iterable[RandomStream],
+) -> Iterator[tuple[list[float], list[int], list[int], list, list[int]]]:
+    """Play one trial of any scenario per stream, in turn, each from start p;
+    yield each as per-round columns.
 
     machines[b] names the machine each user plays when the measurement reads
     b: (b,) * n for n learners, (b, 1 - b) for the duo, () for a bare
-    source. arms holds the reward probabilities of machines 0 and 1. Each
-    round, in draw-contract order:
+    source. arms holds the reward probabilities of machines 0 and 1, where
+    every trial starts. Each round, in draw-contract order:
 
     1. one draw measures p into the bit b;
     2. each user, in order, pulls machines[b] (one draw each);
@@ -289,46 +296,53 @@ def play_trial(
     Single play is n = 1 and coop n = 2 with constants (c,); these are the
     rules single_agent_step, coop_pair_step, ghz_step and drift_step apply
     one round at a time. Inputs are not validated here; callers check them
-    once per run.
+    once per run. The run's update table, players and machines are set up
+    once, and pull is looked up when the first trial starts.
 
-    Returns (states, bits, rewards, updates, rewarded): states holds
+    Each item is (states, bits, rewards, updates, rewarded): states holds
     horizon + 1 values of p, round t moving states[t] to states[t + 1];
     rewards is flat, n entries a round, round t's rewards (0 or 1, in user
     order) at rewards[n * t : n * (t + 1)], so a trial keeps no per-round
     tuple; updates holds one (direction, magnitude) pair per round,
     (None, 0.0) when no update applies; rewarded is each round's reward
-    count. harness.Trajectory reads these columns back round by round.
+    count. harness.Trajectory reads these columns back round by round. The
+    generator lets go of a trial's columns before it plays the next one.
     """
     n = len(machines[0])
-    held = (_Machine(arms[0]), _Machine(arms[1]))
-    plays = ([held[m] for m in machines[0]], [held[m] for m in machines[1]])
-    streams = (rng,) * n
     moves = _update_moves(n, constants)
-    toward_zero = Direction.TOWARD_ZERO
+    held = (_Machine(arms[0]), _Machine(arms[1]))
+    plays = (tuple(held[m] for m in machines[0]), tuple(held[m] for m in machines[1]))
     drifting = held if drift > 0.0 and n > 0 else ()
-    uniform = rng.uniform
+    toward_zero = Direction.TOWARD_ZERO
     draw = pull
-    states = [p]
-    bits: list[int] = []
-    rewards: list[int] = []
-    updates: list = []
-    rewarded: list[int] = []
-    for _ in range(horizon):
-        bit = 0 if uniform() < p else 1
-        got = tuple(map(draw, plays[bit], streams))
-        r = sum(got)
-        update = moves[bit][r]
-        direction, magnitude = update
-        if direction is toward_zero:
-            p = min(p + magnitude, 1.0)
-        elif direction is not None:
-            p = max(p - magnitude, 0.0)
-        for machine in drifting:
-            step = drift if uniform() < 0.5 else -drift
-            machine.p_reward = min(max(machine.p_reward + step, 0.0), 1.0)
-        states.append(p)
-        bits.append(bit)
-        rewards += got
-        updates.append(update)
-        rewarded.append(r)
-    return states, bits, rewards, updates, rewarded
+    start = p
+    for rng in streams:
+        held[0].p_reward, held[1].p_reward = arms
+        uniform = rng.uniform
+        p = start
+        states = [p]
+        bits: list[int] = []
+        rewards: list[int] = []
+        updates: list = []
+        rewarded: list[int] = []
+        for _ in range(horizon):
+            bit = 0 if uniform() < p else 1
+            r = 0
+            for machine in plays[bit]:
+                reward = draw(machine, rng)
+                rewards.append(reward)
+                r += reward
+            update = moves[bit][r]
+            direction, magnitude = update
+            if direction is toward_zero:
+                p = min(p + magnitude, 1.0)
+            elif direction is not None:
+                p = max(p - magnitude, 0.0)
+            for machine in drifting:
+                step = drift if uniform() < 0.5 else -drift
+                machine.p_reward = min(max(machine.p_reward + step, 0.0), 1.0)
+            states.append(p)
+            bits.append(bit)
+            updates.append(update)
+            rewarded.append(r)
+        yield states, bits, rewards, updates, rewarded

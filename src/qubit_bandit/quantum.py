@@ -15,7 +15,8 @@ and memory, is never loaded. _stream_words is NumPy's
 seed hash vectorised across streams. A stream draws its blocks along the
 sequence through jump-ahead tables; a multi-trial run instead steps all
 streams of a chunk at once (_first_blocks) and hands each trial its first
-block. Either way the draws are NumPy's, bit for bit.
+block, sized to the draws the trial makes. Either way the draws are
+NumPy's, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ __all__ = [
 
 _SEED_LIMIT = 2**64
 # uniform() serves draws from a pre-drawn block that doubles on each refill
-# up to the cap; the first block, which _first_blocks draws in bulk, holds a
-# 10-round coop trial's 30 draws
+# up to the cap; a run's trials take their first blocks from _first_blocks,
+# each sized to the draws its trial makes, up to _BLOCK_START
 _BLOCK_START = 64
 _BLOCK_CAP = 4096
 
@@ -275,19 +276,21 @@ def _seeded(words: np.ndarray):
     return _add(_mul(_add((w0, w1), inc), _MULT), inc), inc
 
 
-def _first_blocks(seed: int, streams):
-    """Per stream of the sequence streams, in order: its first _BLOCK_START
-    draws, last draw first, and its [state hi, state lo, inc hi, inc lo]
-    after them.
+def _first_blocks(seed: int, streams, size: int):
+    """Per stream of the sequence streams, in order: its first size draws
+    (size >= 1), last draw first, and its [state hi, state lo, inc hi,
+    inc lo] after them.
 
     This is RandomStream's _start for many short streams: the streams of a
     chunk step together, one LCG step a draw, so each numpy operation
-    serves the whole chunk.
+    serves the whole chunk. A run sizes the block to the draws a trial
+    makes, so a short trial's stream steps no further than it reads; the
+    refills of a longer one continue the same sequence.
     """
     for begin in range(0, len(streams), _CHUNK):
         state, inc = _seeded(_stream_words(seed, streams[begin : begin + _CHUNK]))
-        draws = np.empty((_BLOCK_START, len(state[0])))
-        for step in range(_BLOCK_START):
+        draws = np.empty((size, len(state[0])))
+        for step in range(size):
             state = _add(_mul(state, _MULT), inc)
             draws[step] = _doubles(*state)
         pcg = np.stack((*state, *inc), axis=1).tolist()

@@ -589,6 +589,26 @@ def test_metadata_missing_a_field_names_it(capsys, key, fmt):
         config_from_metadata(metadata)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "key,text,native",
+    [("scenario", "bogus", "bogus"), ("p1", "abc", "abc"), ("horizon", "1.5", 1.5)],
+    ids=["scenario", "p1", "horizon"],
+)
+def test_metadata_with_a_bad_value_names_its_field(capsys, key, text, native, fmt):
+    # a CSV value is text, cast per field; a JSON value is as the file holds it
+    argv = ["single", "--c", "0.1", "--horizon", "2", "--format", fmt]
+    _, out, _ = _run(capsys, argv)
+    if fmt == "csv":
+        metadata = read_csv_metadata(out.splitlines())
+        metadata[key] = text
+    else:
+        metadata = json.loads(out)["metadata"]["config"]
+        metadata[key] = native
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        config_from_metadata(metadata).validate()
+
+
 def test_json_and_csv_agree_on_metrics(capsys):
     argv = ["single", "--c", "0.1", "--horizon", "10", "--seed", "3"]
     _, csv_text, _ = _run(capsys, argv)

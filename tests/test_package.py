@@ -110,3 +110,39 @@ def test_runs_do_not_load_numpy_random(tmp_path):
     )
     assert _fresh_python(code) == "False"
     assert os.path.getsize(output) > 0
+
+
+def test_the_benchmark_tracer_sees_the_draw_contract(tmp_path):
+    # the check bench/run.py --trace 1 makes, on small runs: the tracer
+    # patches the names the run path looks up, and counts draws (scalar
+    # calls plus block sizes) and pulls per round, and one stream per trial
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    output = str(tmp_path / "single.csv")
+    argv = ["single", "--c", "0.1", "--horizon", "30", "--trials", "3", "--output", output]
+    code = "\n".join(
+        [
+            "import sys",
+            f"sys.path.insert(0, {str(bench)!r})",
+            "from tracer import Tracer",
+            "from qubit_bandit import cli, harness",
+            "tracer = Tracer()",
+            "tracer.install()",
+            "def counts():",
+            "    stats = tracer.report()['stats']",
+            "    calls = lambda name: stats.get(name, [0])[0]",
+            "    draws = calls('quantum.uniform') + tracer.block_draws",
+            "    return draws, calls('bandit.pull'), calls('quantum.stream_new')",
+            "config = harness.ExperimentConfig(",
+            "    harness.Scenario.COOP_PAIR, p1=0.7, p2=0.4, c=0.1, horizon=10, trials=20",
+            ")",
+            "harness.run_experiment(config, record_trajectories=False)",
+            "coop = counts()",
+            f"assert cli.main({argv!r}) == 0",
+            "print(*coop, *(after - before for after, before in zip(counts(), coop)))",
+        ]
+    )
+    coop_draws, coop_pulls, coop_streams, draws, pulls, streams = map(
+        int, _fresh_python(code).split()
+    )
+    assert (coop_draws, coop_pulls, coop_streams) == (3 * 200, 2 * 200, 20)
+    assert (draws, pulls, streams) == (2 * 90, 1 * 90, 3)

@@ -130,22 +130,24 @@ def test_bulk_stream_words_equal_numpy_seed_sequence(seed, stream, count):
     for index, row in zip(indices, words):
         reference = np.random.SeedSequence([seed, index]).generate_state(4, np.uint64)
         np.testing.assert_array_equal(row, reference)
-    (first,) = _first_blocks(seed, [stream])
+    (first,) = _first_blocks(seed, [stream], quantum._BLOCK_START)
     bulk, plain = RandomStream(seed, stream, first), RandomStream(seed, stream)
     for _ in range(3):
         assert [bulk.uniform() for _ in range(count)] == [plain.uniform() for _ in range(count)]
         np.testing.assert_array_equal(bulk.uniforms(count), plain.uniforms(count))
 
 
+@pytest.mark.parametrize("size", [1, 30, 64])
 @pytest.mark.parametrize(
     "streams", [[2**64 - 1], range(2**32 - 1500, 2**32 + 1500)], ids=["one", "3000"]
 )
-def test_first_blocks_equal_per_stream_draws(streams):
+def test_first_blocks_equal_per_stream_draws(streams, size):
     # 3000 streams span a chunk boundary, and 2**32, where a stream's entropy
-    # grows a second word; each stream goes on past its first block
+    # grows a second word; each stream goes on past its first block, however
+    # short, through refills
     assert len(streams) == 1 or len(streams) > quantum._CHUNK
     seed = 2**32 + 5
-    starts = list(_first_blocks(seed, streams))
+    starts = list(_first_blocks(seed, streams, size))
     assert len(starts) == len(streams)
     for stream, start in zip(streams, starts):
         drawn = RandomStream(seed, stream, start).uniforms(100)
