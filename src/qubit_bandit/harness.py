@@ -29,7 +29,6 @@ from .policies import (  # noqa: F401
 )
 from .policies import GhzConstants, StepRecord, _draws_per_round, play_trials
 from .quantum import (
-    _BLOCK_START,
     Direction,
     RandomStream,
     _check_count,
@@ -268,17 +267,17 @@ def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[tuple[in
     """The trial source: (trial, play_trials' columns) for each trial of
     order, played when asked for.
 
-    Each trial's stream gets its first block in bulk, sized to the draws
-    the trial makes up to _BLOCK_START. Nothing here keeps a trial once it
-    is handed over, so a consumer that drops each trial before asking for
-    the next holds one trial at a time.
+    Each trial's stream gets its first block in bulk, sized by the draws
+    the trial makes. Nothing here keeps a trial once it is handed over, so
+    a consumer that drops each trial before asking for the next holds one
+    trial at a time.
     """
     start, machines, constants = _trial_inputs(config)
     seed, drift, horizon = config.seed, config.drift_step, config.horizon
-    size = min(_BLOCK_START, horizon * _draws_per_round(len(machines[0]), drift))
+    needed = horizon * _draws_per_round(len(machines[0]), drift)
     streams = (
         RandomStream(seed, trial, first)
-        for trial, first in zip(order, _first_blocks(seed, order, size))
+        for trial, first in zip(order, _first_blocks(seed, order, needed))
     )
     played = play_trials(start, machines, constants, (config.p1, config.p2), drift, horizon, streams)
     # next() rather than zip: zip would hold the last trial's columns while

@@ -41,8 +41,8 @@ __all__ = [
 
 _SEED_LIMIT = 2**64
 # uniform() serves draws from a pre-drawn block that doubles on each refill
-# up to the cap; a run's trials take their first blocks from _first_blocks,
-# each sized to the draws its trial makes, up to _BLOCK_START
+# up to the cap; the first blocks _first_blocks draws in bulk hold the draws
+# a run's trial makes, up to _BLOCK_START
 _BLOCK_START = 64
 _BLOCK_CAP = 4096
 
@@ -276,17 +276,18 @@ def _seeded(words: np.ndarray):
     return _add(_mul(_add((w0, w1), inc), _MULT), inc), inc
 
 
-def _first_blocks(seed: int, streams, size: int):
-    """Per stream of the sequence streams, in order: its first size draws
-    (size >= 1), last draw first, and its [state hi, state lo, inc hi,
-    inc lo] after them.
+def _first_blocks(seed: int, streams, needed: int):
+    """Per stream of the sequence streams, in order: its first
+    min(needed, _BLOCK_START) draws, last draw first, and its [state hi,
+    state lo, inc hi, inc lo] after them.
 
     This is RandomStream's _start for many short streams: the streams of a
     chunk step together, one LCG step a draw, so each numpy operation
-    serves the whole chunk. A run sizes the block to the draws a trial
+    serves the whole chunk. needed (>= 1) is the draws each stream's trial
     makes, so a short trial's stream steps no further than it reads; the
     refills of a longer one continue the same sequence.
     """
+    size = min(needed, _BLOCK_START)
     for begin in range(0, len(streams), _CHUNK):
         state, inc = _seeded(_stream_words(seed, streams[begin : begin + _CHUNK]))
         draws = np.empty((size, len(state[0])))

@@ -1,12 +1,13 @@
 """The trial loop against the per-round reference, and the draw contract.
 
 run_experiment plays every trial of every scenario through one
-policies.play_trials loop per run. Here the same seeded streams are replayed
-through the step functions one round at a time, with a fresh environment and drift_step after every round, and the
-records and metrics of both routes must agree exactly. The draw and pull
-counts of every scenario are checked against the contract: per round,
-single 2 draws, coop 3, GHZ n + 1, duo 3, qrng 1, plus 2 with drift on for
-the scenarios that play machines.
+policies.play_trials loop per run. Here the same seeded streams are
+replayed through the step functions one round at a time, with a fresh
+environment and drift_step after every round, and the records and metrics
+of both routes must agree exactly. The draw and pull counts of every
+scenario are checked against the contract: per round, single 2 draws, coop
+3, GHZ n + 1, duo 3, qrng 1, plus 2 with drift on for the scenarios that
+play machines.
 """
 
 from fractions import Fraction
