@@ -366,9 +366,6 @@ class _CsvText:
         # f"{x:.12g}" is the text _meta_str gives _round12(x): 12 digits round-trip
         self.num = num = _Texts(lambda x: f"{x:.12g}")
         self.joined = _Texts(lambda values: "|".join(map(str, values)))
-        # an update pair is stored whole: its magnitude is a positive constant or
-        # the 0.0 of no update, never -0.0
-        self.update = _Texts(lambda u: f"{_DIRECTION_TEXT[u[0]]},{num[u[1]]}")
 
     @staticmethod
     def head(recordset: OutputRecordSet) -> str:
@@ -382,14 +379,16 @@ class _CsvText:
 
     def rows(self, trajectory: Trajectory) -> Iterator[str]:
         """The trajectory's rows, at most _ROWS_PER_WRITE to a string."""
-        num, joined, update = self.num, self.joined, self.update
+        num, joined = self.num, self.joined
         trial = trajectory.trial
         # measured_bit and chosen_machine fields, by bit
         played = [f"{bit},{joined[trajectory.machines[bit]]}" for bit in (0, 1)]
+        # update_direction and update_magnitude fields, by bit and reward count
+        updates = [[f"{_DIRECTION_TEXT[d]},{num[m]}" for d, m in by_r] for by_r in trajectory.moves]
         rows = (
             f"{trial},{step},{num[before]},{played[bit]},{joined[rewards]},"
-            f"{update[change]},{num[after]}\n"
-            for step, before, after, bit, rewards, change in trajectory.rounds()
+            f"{updates[bit][r]},{num[after]}\n"
+            for step, before, after, bit, rewards, r in trajectory.rounds()
         )
         for texts in _slices(rows):
             yield "".join(texts)
@@ -411,12 +410,8 @@ class _JsonText:
     row came before."""
 
     def __init__(self) -> None:
-        self.num = num = _Texts(lambda x: repr(_round12(x)))
+        self.num = _Texts(lambda x: repr(_round12(x)))
         self.lists = _Texts(_json_list)
-        self.update = _Texts(
-            lambda u: f'"update_direction": "{_DIRECTION_TEXT[u[0]]}",\n'
-            f'      "update_magnitude": {num[u[1]]}'
-        )
         self.rows_written = False
 
     @staticmethod
@@ -429,12 +424,18 @@ class _JsonText:
 
     def rows(self, trajectory: Trajectory) -> Iterator[str]:
         """The trajectory's rows, at most _ROWS_PER_WRITE to a string."""
-        num, lists, update = self.num, self.lists, self.update
+        num, lists = self.num, self.lists
         trial = trajectory.trial
         # measured_bit and chosen_machine fields, by bit
         played = [
             f'"measured_bit": {bit},\n      "chosen_machine": {lists[trajectory.machines[bit]]}'
             for bit in (0, 1)
+        ]
+        # update_direction and update_magnitude fields, by bit and reward count
+        updates = [
+            [f'"update_direction": "{_DIRECTION_TEXT[d]}",\n      "update_magnitude": {num[m]}'
+             for d, m in by_r]
+            for by_r in trajectory.moves
         ]
         rows = (
             f"""    {{
@@ -443,10 +444,10 @@ class _JsonText:
       "p0_before": {num[before]},
       {played[bit]},
       "reward": {lists[rewards]},
-      {update[change]},
+      {updates[bit][r]},
       "p0_after": {num[after]}
     }}"""
-            for step, before, after, bit, rewards, change in trajectory.rounds()
+            for step, before, after, bit, rewards, r in trajectory.rounds()
         )
         for texts in _slices(rows):
             yield (",\n" if self.rows_written else "\n") + ",\n".join(texts)
@@ -492,10 +493,10 @@ def _run_trials(config: ExperimentConfig, fmt: str, handle: IO[str], spill_dir: 
     text = _TEXTS[fmt]()
     summary = _Summary(config)
     with tempfile.TemporaryFile("w+", dir=spill_dir) as staged:
-        for trial, columns in _trials(config, range(config.trials)):
-            summary.add(trial, columns)
-            staged.writelines(text.rows(Trajectory(trial, summary.machines, *columns[:4])))
-            del columns  # released before the next trial is played
+        for trajectory in _trials(config, range(config.trials)):
+            summary.add(trajectory)
+            staged.writelines(text.rows(trajectory))
+            del trajectory  # released before the next trial is played
         handle.write(text.head(build_recordset(config, (), summary.metrics())))
         staged.seek(0)
         shutil.copyfileobj(staged, handle)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice, repeat
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,9 +27,8 @@ from .policies import (  # noqa: F401
     ghz_step,
     single_agent_step,
 )
-from .policies import GhzConstants, StepRecord, _draws_per_round, play_trials
+from .policies import GhzConstants, StepRecord, _draws_per_round, _update_moves, play_trials
 from .quantum import (
-    Direction,
     RandomStream,
     _check_count,
     _check_fraction,
@@ -112,7 +111,10 @@ class ExperimentConfig:
                 if _is_number(value, integer):
                     object.__setattr__(self, name, cast(value))
         if self.constants is not None:
-            values = tuple(float(v) if _is_number(v) else v for v in self.constants)
+            try:
+                values = tuple(float(v) if _is_number(v) else v for v in self.constants)
+            except TypeError:  # not iterable
+                raise ConfigError(f"constants: expected numbers, got {self.constants!r}") from None
             object.__setattr__(self, "constants", values)
 
     def users(self) -> int:
@@ -137,64 +139,68 @@ class ExperimentConfig:
             _check_probability("drift_step", self.drift_step)
         with _naming("window"):
             _check_fraction("window", self.window)
-        if self.scenario in (Scenario.SINGLE_AGENT, Scenario.COOP_PAIR):
-            if self.c is None:
-                raise ConfigError(f"c: required for scenario '{self.scenario.value}'")
+        # required where the scenario uses them, checked wherever set: metadata replays
+        if self.c is None and self.scenario in (Scenario.SINGLE_AGENT, Scenario.COOP_PAIR):
+            raise ConfigError(f"c: required for scenario '{self.scenario.value}'")
+        if self.c is not None:
             with _naming("c"):
                 _check_fraction("c", self.c)
-        if self.scenario is Scenario.GHZ:
-            if self.n_users is None:
-                raise ConfigError("n_users: required for scenario 'ghz'")
+        ghz = self.scenario is Scenario.GHZ
+        if self.n_users is None and ghz:
+            raise ConfigError("n_users: required for scenario 'ghz'")
+        if self.n_users is not None:
             with _naming("n_users"):
                 _check_count("n_users", self.n_users, 2)
-            if self.constants is None:
-                raise ConfigError("constants: required for scenario 'ghz'")
+        if self.constants is None and ghz:
+            raise ConfigError("constants: required for scenario 'ghz'")
+        if self.constants is not None:
             with _naming("constants"):
-                GhzConstants(self.constants).validate_for(self.n_users)
+                constants = GhzConstants(self.constants)
+                if ghz:
+                    constants.validate_for(self.n_users)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One trial as per-round columns, in the layout play_trials yields.
+class Trajectory(NamedTuple):
+    """One trial: the run's machines and update table, then per-round columns.
 
-    Round t reads states[t] and leaves states[t + 1], measures bits[t],
-    sends the users to machines[bits[t]], collects n rewards and applies
-    updates[t], a (direction, magnitude) pair. rewards is flat, n entries a
-    round (n = len(machines[0]), 0 for a bare source), so round t's rewards
-    are rewards[n * t : n * (t + 1)]; rounds() and records regroup them, and
-    nothing else reads this layout.
+    The columns (states, bits, rewards, rewarded) are what play_trials
+    yields. Round t reads states[t] and leaves states[t + 1], measures
+    bits[t], sends the users to machines[bits[t]], collects n rewards (0 or
+    1, in user order) that sum to rewarded[t], and applies the update pair
+    moves[bits[t]][rewarded[t]]. rewards is flat, n entries a round
+    (n = len(machines[0]), 0 for a bare source), so round t's rewards are
+    rewards[n * t : n * (t + 1)]; rounds() and records regroup them.
     """
 
     trial: int
     machines: tuple[tuple[int, ...], tuple[int, ...]]
+    moves: tuple[tuple, tuple]
     states: list[float]
     bits: list[int]
     rewards: list[int]
-    updates: list[tuple[Direction | None, float]]
+    rewarded: list[int]
 
-    def rounds(self) -> Iterator[tuple[int, float, float, int, tuple[int, ...], tuple]]:
+    def rounds(self) -> Iterator[tuple[int, float, float, int, tuple[int, ...], int]]:
         """Per round, lazily: (step, p0 before, p0 after, measured bit,
-        reward tuple, update pair)."""
+        reward tuple, reward count)."""
         states = self.states
         n = len(self.machines[0])
         # n consumers of one iterator regroup the flat column into n-tuples
         grouped = zip(*[iter(self.rewards)] * n) if n else repeat(())
-        return zip(
-            range(len(self.bits)), states, islice(states, 1, None), self.bits, grouped, self.updates
-        )
+        steps = range(len(self.bits))
+        return zip(steps, states, islice(states, 1, None), self.bits, grouped, self.rewarded)
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
         """The rounds as StepRecords, built on each access."""
-        machines = self.machines
+        machines, moves = self.machines, self.moves
         return tuple(
-            StepRecord(step, before, bit, machines[bit], got, direction, magnitude, after)
-            for step, before, after, bit, got, (direction, magnitude) in self.rounds()
+            StepRecord(step, before, bit, machines[bit], got, *moves[bit][r], after)
+            for step, before, after, bit, got, r in self.rounds()
         )
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
+class TrialMetrics(NamedTuple):
     """Summary of one trial; regret and best_arm_fraction are None when undefined
     (drift on, or no machine play)."""
 
@@ -263,9 +269,9 @@ def _trial_inputs(config: ExperimentConfig):
     return config.initial_p0, ((0,) * n, (1,) * n), constants
 
 
-def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[tuple[int, tuple]]:
-    """The trial source: (trial, play_trials' columns) for each trial of
-    order, played when asked for.
+def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[Trajectory]:
+    """The trial source: the Trajectory of each trial of order, played when
+    asked for. No other code builds a Trajectory.
 
     Each trial's stream gets its first block in bulk, sized by the draws
     the trial makes. Nothing here keeps a trial once it is handed over, so
@@ -274,16 +280,18 @@ def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[tuple[in
     """
     start, machines, constants = _trial_inputs(config)
     seed, drift, horizon = config.seed, config.drift_step, config.horizon
-    needed = horizon * _draws_per_round(len(machines[0]), drift)
+    n = len(machines[0])
+    moves = _update_moves(n, constants)
+    needed = horizon * _draws_per_round(n, drift)
     streams = (
         RandomStream(seed, trial, first)
         for trial, first in zip(order, _first_blocks(seed, order, needed))
     )
-    played = play_trials(start, machines, constants, (config.p1, config.p2), drift, horizon, streams)
+    played = play_trials(start, machines, moves, (config.p1, config.p2), drift, horizon, streams)
     # next() rather than zip: zip would hold the last trial's columns while
     # the next trial is played
     for trial in order:
-        yield trial, next(played)
+        yield Trajectory(trial, machines, moves, *next(played))
 
 
 class _Summary:
@@ -298,8 +306,7 @@ class _Summary:
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
-        # machines per bit, as Trajectory takes them
-        self.machines = machines = _trial_inputs(config)[1]
+        machines = _trial_inputs(config)[1]
         self.config = config
         self.horizon = config.horizon
         self.n_users = n_users = config.users()
@@ -318,10 +325,9 @@ class _Summary:
         # qrng plays no machine, and its horizon is a bit count
         self.counts = [0] * config.horizon if n_users else []
 
-    def add(self, trial: int, columns: tuple) -> None:
-        """Summarise one trial from play_trials' columns; add its per-round
-        reward counts to the curve's."""
-        states, bits, _, _, rewarded = columns
+    def add(self, trajectory: Trajectory) -> None:
+        """Summarise one trial; add its per-round reward counts to the curve's."""
+        trial, bits, rewarded = trajectory.trial, trajectory.bits, trajectory.rewarded
         total_reward = sum(rewarded)
         regret: float | None = None
         best_fraction: float | None = None
@@ -333,7 +339,7 @@ class _Summary:
             best_fraction = hits / (window_steps * n_users)
         conflicts = sum(map(bits.count, self.colliding))
         self.per_trial[trial] = TrialMetrics(
-            trial, total_reward, regret, conflicts, states[-1], best_fraction
+            trial, total_reward, regret, conflicts, trajectory.states[-1], best_fraction
         )
         self.counts = list(map(operator.add, self.counts, rewarded))
 
@@ -385,11 +391,11 @@ def run_experiment(
 
     summary = _Summary(config)
     trajectories: list[Trajectory | None] = [None] * n_trials
-    for trial, columns in _trials(config, order):
-        summary.add(trial, columns)
+    for trajectory in _trials(config, order):
+        summary.add(trajectory)
         if record_trajectories:
-            trajectories[trial] = Trajectory(trial, summary.machines, *columns[:4])
-        del columns  # released before the next trial is played
+            trajectories[trajectory.trial] = trajectory
+        del trajectory  # released before the next trial is played
     return (tuple(trajectories) if record_trajectories else ()), summary.metrics()
 
 

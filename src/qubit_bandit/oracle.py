@@ -308,13 +308,13 @@ def asymptotic_claim_report(
 
     mean_states = np.empty(trials)
     zero_rates = np.empty(trials)
-    for trial, (states, bits, _, _, _) in _trials(config, range(trials)):
+    for trajectory in _trials(config, range(trials)):
         # the states after each round of the window, summed in round order
         state_acc = 0.0
-        for state in states[start + 1 :]:
+        for state in trajectory.states[start + 1 :]:
             state_acc += state
-        mean_states[trial] = state_acc / window_steps
-        zero_rates[trial] = bits[start:].count(0) / window_steps
+        mean_states[trajectory.trial] = state_acc / window_steps
+        zero_rates[trajectory.trial] = trajectory.bits[start:].count(0) / window_steps
 
     mc_mean_p0 = float(np.mean(mean_states))
     mc_mean_p0_ci = float(1.96 * np.std(mean_states, ddof=1) / math.sqrt(trials))

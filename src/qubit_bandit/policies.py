@@ -240,13 +240,13 @@ class _Machine:
         self.p_reward = p_reward
 
 
-# play_trials builds a run's update table once; the tables are immutable,
-# so runs with the same constants share one, and the cache is kept small so
-# a sweep over many constants does not grow it
+# a run builds its update table once; the tables are immutable, so runs
+# with the same constants share one, and the cache is kept small so a sweep
+# over many constants does not grow it
 @functools.lru_cache(maxsize=64)
 def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
     """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
-    after reading bit. This is play_trials' only toward-zero decision."""
+    after reading bit. The run path's only toward-zero decision."""
     no_update = (None, 0.0)
     return tuple(
         tuple(
@@ -271,45 +271,40 @@ def _draws_per_round(n: int, drift: float) -> int:
 def play_trials(
     p: float,
     machines: tuple[tuple[int, ...], tuple[int, ...]],
-    constants: tuple[float, ...],
+    moves: tuple[tuple, tuple],
     arms: tuple[float, float],
     drift: float,
     horizon: int,
     streams: Iterable[RandomStream],
-) -> Iterator[tuple[list[float], list[int], list[int], list, list[int]]]:
+) -> Iterator[tuple[list[float], list[int], list[int], list[int]]]:
     """Play one trial of any scenario per stream, in turn, each from start p;
     yield each as per-round columns.
 
     machines[b] names the machine each user plays when the measurement reads
     b: (b,) * n for n learners, (b, 1 - b) for the duo, () for a bare
-    source. arms holds the reward probabilities of machines 0 and 1, where
-    every trial starts. Each round, in draw-contract order:
+    source. moves is the run's update table, _update_moves(n, constants).
+    arms holds the reward probabilities of machines 0 and 1, where every
+    trial starts. Each round, in draw-contract order:
 
     1. one draw measures p into the bit b;
     2. each user, in order, pulls machines[b] (one draw each);
-    3. with r rewards out of n, p moves by constants[min(r, n - r)], toward
-       zero iff (b == 0) == (2r > n), clamped to [0, 1]; a tie (2r == n)
-       moves nothing, and empty constants never move p (duo, source);
+    3. with r rewards out of n, p moves by moves[b][r]: constants[min(r, n - r)],
+       toward zero iff (b == 0) == (2r > n), clamped to [0, 1]; a tie
+       (2r == n) moves nothing, and empty constants never move p (duo, source);
     4. when drift > 0 and users play, each machine's reward probability
        takes a clamped +/- drift step, machine 0 first (one draw each).
 
     Single play is n = 1 and coop n = 2 with constants (c,); these are the
     rules single_agent_step, coop_pair_step, ghz_step and drift_step apply
     one round at a time. Inputs are not validated here; callers check them
-    once per run. The run's update table, players and machines are set up
-    once, and pull is looked up when the first trial starts.
+    once per run. The run's players and machines are set up once, and pull
+    is looked up when the first trial starts.
 
-    Each item is (states, bits, rewards, updates, rewarded): states holds
-    horizon + 1 values of p, round t moving states[t] to states[t + 1];
-    rewards is flat, n entries a round, round t's rewards (0 or 1, in user
-    order) at rewards[n * t : n * (t + 1)], so a trial keeps no per-round
-    tuple; updates holds one (direction, magnitude) pair per round,
-    (None, 0.0) when no update applies; rewarded is each round's reward
-    count. harness.Trajectory reads these columns back round by round. The
-    generator lets go of a trial's columns before it plays the next one.
+    Each item is a trial's columns (states, bits, rewards, rewarded), laid
+    out as harness.Trajectory's docstring states. The generator lets go of
+    a trial's columns before it plays the next one.
     """
     n = len(machines[0])
-    moves = _update_moves(n, constants)
     held = (_Machine(arms[0]), _Machine(arms[1]))
     plays = (tuple(held[m] for m in machines[0]), tuple(held[m] for m in machines[1]))
     drifting = held if drift > 0.0 and n > 0 else ()
@@ -323,7 +318,6 @@ def play_trials(
         states = [p]
         bits: list[int] = []
         rewards: list[int] = []
-        updates: list = []
         rewarded: list[int] = []
         for _ in range(horizon):
             bit = 0 if uniform() < p else 1
@@ -332,8 +326,7 @@ def play_trials(
                 reward = draw(machine, rng)
                 rewards.append(reward)
                 r += reward
-            update = moves[bit][r]
-            direction, magnitude = update
+            direction, magnitude = moves[bit][r]
             if direction is toward_zero:
                 p = min(p + magnitude, 1.0)
             elif direction is not None:
@@ -343,6 +336,5 @@ def play_trials(
                 machine.p_reward = min(max(machine.p_reward + step, 0.0), 1.0)
             states.append(p)
             bits.append(bit)
-            updates.append(update)
             rewarded.append(r)
-        yield states, bits, rewards, updates, rewarded
+        yield states, bits, rewards, rewarded

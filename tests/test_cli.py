@@ -575,6 +575,42 @@ def test_json_metadata_bools_fail_validation(key, value):
         config_from_metadata(metadata).validate()
 
 
+@pytest.mark.parametrize("constants", [0.1, 5, True])
+def test_constants_that_are_not_a_sequence_name_their_field(constants):
+    with pytest.raises(ConfigError, match="^constants: "):
+        ExperimentConfig(scenario=Scenario.GHZ, n_users=3, constants=constants).validate()
+    ghz = ExperimentConfig(scenario=Scenario.GHZ, n_users=3, constants=(0.5, 0.25), horizon=3)
+    metadata = json.loads(json.dumps(config_to_dict(ghz)))
+    metadata["constants"] = constants
+    with pytest.raises(ConfigError, match="^constants: "):
+        config_from_metadata(metadata).validate()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "settings_,field,bad,good",
+    [
+        (dict(scenario=Scenario.SINGLE_AGENT, c=0.1), "n_users", True, 3),
+        (dict(scenario=Scenario.SINGLE_AGENT, c=0.1), "constants", ("abc",), (0.3, 0.1)),
+        (dict(scenario=Scenario.GHZ, n_users=3, constants=(0.1, 0.05)), "c", "abc", 0.2),
+        (dict(scenario=Scenario.DUO_CONFLICT), "c", True, 0.5),
+    ],
+    ids=["single-n_users", "single-constants", "ghz-c", "duo-c"],
+)
+def test_a_field_the_scenario_does_not_use_validates_and_replays(settings_, field, bad, good, fmt):
+    # junk there would pass validate() and then fail the run's own replay
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        ExperimentConfig(horizon=3, **settings_, **{field: bad}).validate()
+    config = ExperimentConfig(horizon=3, trials=2, **settings_, **{field: good})
+    buffer = io.StringIO()
+    emit(build_recordset(config, *run_experiment(config)), fmt, buffer)
+    if fmt == "csv":
+        metadata = read_csv_metadata(buffer.getvalue().splitlines())
+    else:
+        metadata = json.loads(buffer.getvalue())["metadata"]["config"]
+    assert config_from_metadata(metadata) == config
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("key", ["scenario", "constants", "p1", "seed", "window"])
 def test_metadata_missing_a_field_names_it(capsys, key, fmt):

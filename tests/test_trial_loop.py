@@ -10,6 +10,7 @@ scenario are checked against the contract: per round, single 2 draws, coop
 play machines.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubit_bandit import harness, oracle, policies
+from qubit_bandit import cli, harness, oracle, policies
 from qubit_bandit.bandit import (
     DriftModel,
     ReplicatedBandit,
@@ -283,3 +284,60 @@ def test_update_tables_stay_bounded_over_a_sweep_of_constants():
     for i in range(3 * 64):
         policies._update_moves(1, (0.001 * (i + 1),))
     assert policies._update_moves.cache_info().currsize <= 64
+
+
+def _expected_row(trial, record):
+    """A reference record as the emitted row's fields, numbers at 12 digits."""
+    direction = record.update_direction
+    return {
+        "trial": trial,
+        "step": record.step,
+        "p0_before": cli._round12(record.p0_before),
+        "measured_bit": record.measured_bit,
+        "chosen_machine": list(record.machines),
+        "reward": list(record.rewards),
+        "update_direction": direction.value if direction else "none",
+        "update_magnitude": cli._round12(record.update_magnitude),
+        "p0_after": cli._round12(record.p0_after),
+    }
+
+
+def _csv_rows(text):
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        for key in ("trial", "step", "measured_bit"):
+            row[key] = int(row[key])
+        for key in ("chosen_machine", "reward"):
+            row[key] = [int(v) for v in row[key].split("|")]
+        for key in ("p0_before", "update_magnitude", "p0_after"):
+            row[key] = float(row[key])
+        rows.append(row)
+    return rows
+
+
+# even n is where the move table has both a tie entry (r = n/2) and graded
+# entries (constants past the first); no golden file has an even n above 2
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("drift", ["0", "0.05"], ids=["still", "drift"])
+@pytest.mark.parametrize("n,constants", [(4, "0.2,0.1"), (6, "0.2,0.1,0.05")], ids=["n4", "n6"])
+def test_even_ghz_rows_match_the_per_round_reference(capsys, n, constants, drift, fmt):
+    argv = ["ghz", "--n", str(n), "--constants", constants, "--p1", "0.55", "--p2", "0.45"]
+    argv += ["--horizon", "40", "--trials", "3", "--seed", "17", "--drift-step", drift]
+    argv += ["--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    rows = _csv_rows(out) if fmt == "csv" else json.loads(out)["steps"]
+    config = cli.parse_args(argv)[0]
+    reference = [
+        (trial, record)
+        for trial in range(config.trials)
+        for record in _reference_trial(config, RandomStream(config.seed, stream=trial))
+    ]
+    assert rows == [_expected_row(trial, record) for trial, record in reference]
+    # the rows cover ties, full agreement and every graded constant
+    records = [record for _, record in reference]
+    assert any(2 * sum(r.rewards) == n and r.update_direction is None for r in records)
+    assert {r.update_magnitude for r in records} == {0.0, *map(float, constants.split(","))}
