@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping, Set
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -111,9 +112,13 @@ class ExperimentConfig:
                 if _is_number(value, integer):
                     object.__setattr__(self, name, cast(value))
         if self.constants is not None:
+            # text would be read a character at a time, a mapping by its keys,
+            # and a set has no order, which carries the dissent level
             try:
+                if isinstance(self.constants, (str, bytes, Mapping, Set)):
+                    raise TypeError
                 values = tuple(float(v) if _is_number(v) else v for v in self.constants)
-            except TypeError:  # not iterable
+            except TypeError:  # not an ordered sequence of numbers
                 raise ConfigError(f"constants: expected numbers, got {self.constants!r}") from None
             object.__setattr__(self, "constants", values)
 
@@ -309,7 +314,7 @@ class _Summary:
         machines = _trial_inputs(config)[1]
         self.config = config
         self.horizon = config.horizon
-        self.n_users = n_users = config.users()
+        self.n_users = n_users = len(machines[0])
         self.scored = n_users > 0 and not config.drift_on()
         self.best_p = max(config.p1, config.p2)
         best_arm = 0 if config.p1 >= config.p2 else 1

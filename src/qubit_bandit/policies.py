@@ -13,7 +13,6 @@ what the harness runs, and the step functions are its per-round reference.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -240,10 +239,6 @@ class _Machine:
         self.p_reward = p_reward
 
 
-# a run builds its update table once; the tables are immutable, so runs
-# with the same constants share one, and the cache is kept small so a sweep
-# over many constants does not grow it
-@functools.lru_cache(maxsize=64)
 def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
     """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
     after reading bit. The run path's only toward-zero decision."""

@@ -12,11 +12,11 @@ Each trial of a run draws from RandomStream(seed, trial): NumPy's PCG64
 stream seeded by SeedSequence([seed, trial]), computed with uint64 numpy
 arithmetic so that NumPy's random module, whose import costs start-up time
 and memory, is never loaded. _stream_words is NumPy's
-seed hash vectorised across streams. A stream draws its blocks along the
-sequence through jump-ahead tables; a multi-trial run instead steps all
-streams of a chunk at once (_first_blocks) and hands each trial its first
-block, sized to the draws the trial makes. Either way the draws are
-NumPy's, bit for bit.
+seed hash vectorised across streams. Every stream starts from
+_first_blocks, which steps all streams of a chunk at once: a run hands
+each trial its first block, sized to the draws the trial makes, and a lone
+stream is a chunk of one with nothing drawn ahead. Refills come through
+jump-ahead tables. The draws are NumPy's, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 2**64
-# uniform() serves draws from a pre-drawn block that doubles on each refill
-# up to the cap; the first blocks _first_blocks draws in bulk hold the draws
-# a run's trial makes, up to _BLOCK_START
+# a stream's first block holds up to _BLOCK_START draws (none for a lone
+# stream); uniform()'s refills start at twice that and double up to the cap
 _BLOCK_START = 64
 _BLOCK_CAP = 4096
 
@@ -281,11 +280,11 @@ def _first_blocks(seed: int, streams, needed: int):
     min(needed, _BLOCK_START) draws, last draw first, and its [state hi,
     state lo, inc hi, inc lo] after them.
 
-    This is RandomStream's _start for many short streams: the streams of a
-    chunk step together, one LCG step a draw, so each numpy operation
-    serves the whole chunk. needed (>= 1) is the draws each stream's trial
-    makes, so a short trial's stream steps no further than it reads; the
-    refills of a longer one continue the same sequence.
+    This is RandomStream's _start for every stream: the streams of a chunk
+    step together, one LCG step a draw, so each numpy operation serves the
+    whole chunk. needed (>= 0) is the draws each stream's trial makes, so a
+    short trial's stream steps no further than it reads, and a lone stream
+    (needed 0) steps none; refills continue the same sequence.
     """
     size = min(needed, _BLOCK_START)
     for begin in range(0, len(streams), _CHUNK):
@@ -294,7 +293,7 @@ def _first_blocks(seed: int, streams, needed: int):
         for step in range(size):
             state = _add(_mul(state, _MULT), inc)
             draws[step] = _doubles(*state)
-        pcg = np.stack((*state, *inc), axis=1).tolist()
+        pcg = np.array((*state, *inc)).T.tolist()
         # a column per stream, read from the last draw up
         yield from zip(draws[::-1].T, pcg)
 
@@ -314,24 +313,22 @@ class RandomStream:
     stream and counts may be numpy integers, which act as Python ints.
 
     _start, when given, is this stream's item of _first_blocks(seed, ...):
-    its first block and the state after it, derived in bulk.
+    its first block and the state after it, derived in bulk by a run that
+    has already checked seed and stream, and taken over by the stream.
+    Without it, the stream is a chunk of one with nothing drawn ahead.
     """
 
     def __init__(self, seed: int, stream: int = 0, _start=None) -> None:
-        self.seed = seed = _check_seed(seed)
-        self.stream = stream = _check_seed(stream, "stream")
         if _start is None:
-            state, inc = _seeded(_stream_words(seed, [stream]))
-            pcg = np.concatenate((*state, *inc)).tolist()
-            self._block: list[float] = []
-            self._block_size = _BLOCK_START
-        else:
-            first, pcg = _start
-            self._block = first.tolist()
-            self._block_size = 2 * _BLOCK_START
+            seed, stream = _check_seed(seed), _check_seed(stream, "stream")
+            (_start,) = _first_blocks(seed, [stream], 0)
+        self.seed, self.stream = seed, stream
+        first, pcg = _start
+        self._block: list[float] = first.tolist()
+        self._block_size = 2 * _BLOCK_START
         # the state after the last draw made, then inc, as Python ints:
         # [state hi, state lo, inc hi, inc lo]
-        self._pcg = list(pcg)
+        self._pcg: list[int] = pcg
 
     def _draws(self, count: int) -> np.ndarray:
         """The count draws after the last one made (count >= 1)."""

@@ -101,6 +101,16 @@ def test_validate_ghz_requirements(overrides, field):
         ExperimentConfig(**base).validate()
 
 
+@pytest.mark.parametrize(
+    "constants", ["0.1,0.05", b"ab", {0.1: 1, 0.05: 2}, {0.1, 0.05}], ids=repr
+)
+def test_constants_must_be_an_ordered_sequence_of_numbers(constants):
+    # text is no sequence of numbers, a mapping would give its keys, and a
+    # set has no order for the dissent levels to follow
+    with pytest.raises(ConfigError, match=r"^constants: expected numbers, got "):
+        ExperimentConfig(scenario=Scenario.GHZ, n_users=3, constants=constants).validate()
+
+
 def test_numpy_numbers_become_python_numbers():
     config = ExperimentConfig(
         scenario=Scenario.GHZ,

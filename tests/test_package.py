@@ -73,6 +73,70 @@ def test_unused_import_check_finds_an_unused_name(tmp_path):
     assert _unused_imports(module) == ["module.py:1: math", "module.py:3: dumps"]
 
 
+def _dead_private_names(paths: list[pathlib.Path]) -> list[str]:
+    """Module-level _names (dunders aside) defined in paths that no module of
+    paths reads: as a loaded name, an attribute or an imported name."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    dead = []
+    for path, tree in trees.items():
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, ast.Assign):
+                targets = [n for t in statement.targets for n in ast.walk(t)]
+                names = [n.id for n in targets if isinstance(n, ast.Name)]
+            elif isinstance(statement, ast.AnnAssign):
+                names = [statement.target.id]
+            else:
+                continue
+            for name in names:
+                private = name.startswith("_") and not name.endswith("__")
+                if private and name not in read:
+                    dead.append(f"{path.name}:{statement.lineno}: {name}")
+    return dead
+
+
+def test_modules_define_no_dead_private_names():
+    package = pathlib.Path(qubit_bandit.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 8
+    assert _dead_private_names(modules) == []
+
+
+def test_dead_private_name_check_finds_an_unread_name(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "_LOADED = 1\n"
+        "_READ_AS_ATTRIBUTE, _DEAD = 2, 3\n"
+        "_IMPORTED: int = 4\n"
+        "__dunder__ = 5\n"
+        "def _dead_function():\n"
+        "    return _LOADED\n"
+        "class _DeadClass:\n"
+        "    pass\n"
+    )
+    second.write_text(
+        "import first\n"
+        "from first import _IMPORTED\n"
+        "_UNREAD = first._READ_AS_ATTRIBUTE + _IMPORTED\n"
+    )
+    assert _dead_private_names([first, second]) == [
+        "first.py:2: _DEAD",
+        "first.py:5: _dead_function",
+        "first.py:7: _DeadClass",
+        "second.py:3: _UNREAD",
+    ]
+
+
 def _fresh_python(code: str) -> str:
     """Run code in a new interpreter that imports this package; return its stdout."""
     src = os.path.dirname(os.path.dirname(qubit_bandit.__file__))

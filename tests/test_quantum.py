@@ -68,7 +68,7 @@ def test_uniforms_matches_repeated_scalar_draws():
 
 @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 63, 64, 65, 5000])
 def test_interleaved_scalar_and_block_draws_follow_the_raw_generator(k):
-    # scalar draws come from a block of 64 that doubles up to 4096, so the
+    # scalar draws come from refills of 128 that double up to 4096, so the
     # runs below cross both sizes; odd runs leave a block partly used
     seed, stream = 21, 4
     scalar_runs = (0, 3, 64, 1, 130, 5000, 7)
@@ -106,7 +106,7 @@ def _numpy_draws(seed, stream, count):
 @example(seed=2**64 - 1, stream=2**64 - 1, runs=[(True, 65), (False, 4200), (True, 4200)])
 def test_random_stream_draws_equal_numpy_pcg64(seed, stream, runs):
     # runs of uniform() (True) and uniforms() (False) calls, interleaved; the
-    # counts cross the 64-draw first block and the 4096-draw cap
+    # counts cross the 128-draw first refill and the 4096-draw cap
     rng = RandomStream(seed, stream)
     drawn = []
     for scalar, count in runs:
@@ -137,14 +137,14 @@ def test_bulk_stream_words_equal_numpy_seed_sequence(seed, stream, count):
         np.testing.assert_array_equal(bulk.uniforms(count), plain.uniforms(count))
 
 
-@pytest.mark.parametrize("size", [1, 30, 64])
+@pytest.mark.parametrize("size", [0, 1, 30, 64])
 @pytest.mark.parametrize(
     "streams", [[2**64 - 1], range(2**32 - 1500, 2**32 + 1500)], ids=["one", "3000"]
 )
 def test_first_blocks_equal_per_stream_draws(streams, size):
     # 3000 streams span a chunk boundary, and 2**32, where a stream's entropy
     # grows a second word; each stream goes on past its first block, however
-    # short, through refills
+    # short (size 0 is a lone stream's), through refills
     assert len(streams) == 1 or len(streams) > quantum._CHUNK
     seed = 2**32 + 5
     starts = list(_first_blocks(seed, streams, size))

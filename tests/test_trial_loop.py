@@ -280,12 +280,6 @@ def test_asymptotic_report_matches_the_per_round_reference():
     assert report.mc_zero_choice_rate == float(np.mean(zero_rates))
 
 
-def test_update_tables_stay_bounded_over_a_sweep_of_constants():
-    for i in range(3 * 64):
-        policies._update_moves(1, (0.001 * (i + 1),))
-    assert policies._update_moves.cache_info().currsize <= 64
-
-
 def _expected_row(trial, record):
     """A reference record as the emitted row's fields, numbers at 12 digits."""
     direction = record.update_direction
