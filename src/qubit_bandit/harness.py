@@ -115,7 +115,7 @@ class ExperimentConfig:
             # text would be read a character at a time, a mapping by its keys,
             # and a set has no order, which carries the dissent level
             try:
-                if isinstance(self.constants, (str, bytes, Mapping, Set)):
+                if isinstance(self.constants, (str, bytes, bytearray, Mapping, Set)):
                     raise TypeError
                 values = tuple(float(v) if _is_number(v) else v for v in self.constants)
             except TypeError:  # not an ordered sequence of numbers

@@ -102,7 +102,9 @@ def test_validate_ghz_requirements(overrides, field):
 
 
 @pytest.mark.parametrize(
-    "constants", ["0.1,0.05", b"ab", {0.1: 1, 0.05: 2}, {0.1, 0.05}], ids=repr
+    "constants",
+    ["0.1,0.05", b"ab", bytearray(b"ab"), {0.1: 1, 0.05: 2}, {0.1, 0.05}],
+    ids=repr,
 )
 def test_constants_must_be_an_ordered_sequence_of_numbers(constants):
     # text is no sequence of numbers, a mapping would give its keys, and a
