@@ -122,10 +122,6 @@ class ExperimentConfig:
                 raise ConfigError(f"constants: expected numbers, got {self.constants!r}") from None
             object.__setattr__(self, "constants", values)
 
-    def users(self) -> int:
-        """Machine players per round (0 for qrng, which plays nothing)."""
-        return len(_trial_inputs(self)[1][0])
-
     def drift_on(self) -> bool:
         return self.drift_step > 0.0
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
@@ -172,31 +171,33 @@ def _lattice_chain(
     paths always merge. Down moves walk the start's residue class mod step
     to 0, up moves walk the multiples of step from 0 to den, and down moves
     walk den's residue class back to 0; a move never leaves these three
-    classes, so the reachable set is their union. Returns
-    (sorted state values as floats, index of the start state, up targets
-    followed by down targets, (2, states) up and down weights).
+    classes, so the reachable set is their union. Each class runs from its
+    residue up to den, and den tops its own, so the sorted lattice
+    interleaves the k = 1, 2 or 3 distinct classes: state i moves up to
+    min(i + k, last) and down to max(i - k, 0). Returns (sorted state values
+    as floats, index of the start state, up targets followed by down
+    targets, (2, states) up and down weights).
     """
-    den = math.lcm(Fraction(p0).denominator, Fraction(c).denominator)
-    start, step = int(Fraction(p0) * den), int(Fraction(c) * den)
-    walks = [range(anchor % step, den + 1, step) for anchor in (start, 0, den)]
-    # the union is at least as long as any walk, so a long walk fails before a set is built
-    order = None if max(map(len, walks)) > max_states else sorted(set().union(*walks))
-    if order is None or len(order) > max_states:
+    (p0_num, p0_den), (c_num, c_den) = p0.as_integer_ratio(), c.as_integer_ratio()
+    den = math.lcm(p0_den, c_den)
+    start, step = p0_num * (den // p0_den), c_num * (den // c_den)
+    residues = {start % step, 0, den % step}
+    size = sum((den - r) // step + 1 for r in residues)
+    if size > max_states:
         raise ValueError(
             f"reachable state lattice exceeds max_states={max_states}; "
             "raise the bound or use a larger c"
         )
-    index = {n: i for i, n in enumerate(order)}
-    targets = np.array(
-        [index[min(n + step, den)] for n in order] + [index[max(n - step, 0)] for n in order]
-    )
-    # int / int rounds once, exactly like float(Fraction(n, den))
+    order = sorted(n for r in residues for n in range(r, den + 1, step))
+    i, k = np.arange(size), len(residues)
+    targets = np.concatenate((np.minimum(i + k, size - 1), np.maximum(i - k, 0)))
+    # int / int is correctly rounded, so each value is the float nearest n / den
     values = np.array([n / den for n in order])
     # summed in _outcomes order from zero, as _merged does, so one round of the
     # chain equals enumerate_single_step bit for bit
     outcomes = list(_outcomes(values, p1, p2, 1))
     weights = np.array([sum(p for way, _, p in outcomes if way is up) for up in (True, False)])
-    return values, index[start], targets, weights
+    return values, order.index(start), targets, weights
 
 
 def _chain(start_index: int, targets: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:

@@ -36,13 +36,15 @@ def _single_config(**overrides):
 
 
 def test_user_counts_per_scenario():
-    assert ExperimentConfig(scenario=Scenario.QRNG).users() == 0
-    assert _single_config().users() == 1
-    assert ExperimentConfig(scenario=Scenario.DUO_CONFLICT).users() == 2
-    assert ExperimentConfig(scenario=Scenario.COOP_PAIR, c=0.1).users() == 2
-    ghz = ExperimentConfig(scenario=Scenario.GHZ, n_users=5, constants=(0.1, 0.05, 0.01))
-    assert ghz.users() == 5
-    assert ExperimentConfig(scenario=Scenario.GHZ).users() == 0
+    def users(config):
+        return run_experiment(config)[1].n_users
+
+    assert users(ExperimentConfig(scenario=Scenario.QRNG, horizon=1)) == 0
+    assert users(_single_config(horizon=1, trials=1)) == 1
+    assert users(ExperimentConfig(scenario=Scenario.DUO_CONFLICT, horizon=1)) == 2
+    assert users(ExperimentConfig(scenario=Scenario.COOP_PAIR, c=0.1, horizon=1)) == 2
+    ghz = dict(n_users=5, constants=(0.1, 0.05, 0.01), horizon=1)
+    assert users(ExperimentConfig(scenario=Scenario.GHZ, **ghz)) == 5
 
 
 @pytest.mark.parametrize(

@@ -281,7 +281,11 @@ def test_evolve_guards_against_lattice_blowup():
 
 
 def _frontier_lattice(p0, c):
-    """Every reachable lattice integer, found by walking up and down moves."""
+    """Every reachable lattice integer, found by walking up and down moves.
+
+    Returns the sorted values, the start's index, and each state's up
+    successor followed by each state's down successor, as the walk finds them.
+    """
     den = math.lcm(Fraction(p0).denominator, Fraction(c).denominator)
     start, step = int(Fraction(p0) * den), int(Fraction(c) * den)
     states = {start}
@@ -293,12 +297,17 @@ def _frontier_lattice(p0, c):
                 states.add(nxt)
                 frontier.append(nxt)
     order = sorted(states)
-    return [n / den for n in order], order.index(start)
+    index = {n: i for i, n in enumerate(order)}
+    successors = [index[min(n + step, den)] for n in order]
+    successors += [index[max(n - step, 0)] for n in order]
+    return [n / den for n in order], order.index(start), successors
 
 
 def _lattice_cases():
     rng = random.Random(7)
     cases = [(0.0, 0.3), (1.0, 0.3), (0.37, 1.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.1), (0.3, 0.07)]
+    # one residue class (k = 1) on longer lattices, and two (k = 2)
+    cases += [(0.0, 0.25), (1.0, 0.5), (0.1, 0.25)]
     for _ in range(40):
         # random floats: c is generally not commensurate with p0
         cases.append((rng.random(), rng.uniform(0.02, 1.0)))
@@ -309,15 +318,18 @@ def _lattice_cases():
 @pytest.mark.parametrize("p0,c", _lattice_cases())
 def test_closed_form_lattice_equals_the_frontier_walk(p0, c):
     values, start_index, targets, weights = oracle._lattice_chain(p0, 0.7, 0.4, c, 10**6)
-    expected_values, expected_start = _frontier_lattice(p0, c)
+    expected_values, expected_start, expected_targets = _frontier_lattice(p0, c)
     assert values.tolist() == expected_values
     assert start_index == expected_start
-    assert targets.shape == (2 * len(values),) and weights.shape == (2, len(values))
+    assert targets.tolist() == expected_targets
+    assert weights.shape == (2, len(values))
     # up and down moves keep every state's mass
     assert np.allclose(weights.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("p0,c", [(0.5, 0.1), (0.37, 0.05), (0.3, 0.07), (0.0, 1.0)])
+@pytest.mark.parametrize(
+    "p0,c", [(0.5, 0.1), (0.37, 0.05), (0.3, 0.07), (0.0, 1.0), (0.0, 0.25), (0.1, 0.25)]
+)
 def test_lattice_guard_is_exact_at_the_lattice_size(p0, c):
     size = len(_frontier_lattice(p0, c)[0])
     assert len(oracle._lattice_chain(p0, 0.7, 0.4, c, size)[0]) == size

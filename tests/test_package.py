@@ -176,6 +176,21 @@ def test_runs_do_not_load_numpy_random(tmp_path):
     assert os.path.getsize(output) > 0
 
 
+def test_the_exact_chain_does_not_load_fractions():
+    # the lattice takes its integers from float.as_integer_ratio, so fractions
+    # (and the decimal module it pulls in) stays out of the oracle's memory
+    code = "\n".join(
+        [
+            "import sys",
+            "from qubit_bandit import oracle",
+            "oracle.evolve_distribution(0.5, 0.8, 0.2, 0.1, 20)",
+            "oracle.asymptotic_claim_report(0.7, 0.3, 0.1, horizon=200, trials=4)",
+            "print('fractions' in sys.modules)",
+        ]
+    )
+    assert _fresh_python(code) == "False"
+
+
 def test_the_benchmark_tracer_sees_the_draw_contract(tmp_path):
     # the check bench/run.py --trace 1 makes, on small runs: the tracer
     # patches the names the run path looks up, and counts draws (scalar

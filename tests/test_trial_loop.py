@@ -71,7 +71,7 @@ def _reference_trial(config, rng):
 
 def _reference_metrics(config, trials):
     """Metrics.to_dict() recomputed from the reference records of every trial."""
-    n = config.users()
+    n = len(trials[0][0].rewards)
     horizon = config.horizon
     scored = n > 0 and not config.drift_on()
     best_arm = 0 if config.p1 >= config.p2 else 1
@@ -142,18 +142,18 @@ def test_trial_loop_matches_the_per_round_reference(config):
     ]
     assert [t.records for t in trajectories] == reference
     assert metrics.to_dict() == _reference_metrics(config, reference)
-    n = config.users()
+    n = len(reference[0][0].rewards)
     if n:
-        np.testing.assert_array_equal(metrics.mean_step_reward, _exact_mean(config, reference))
+        np.testing.assert_array_equal(metrics.mean_step_reward, _exact_mean(reference))
     if n in (1, 2, 4):
         # per-user rewards are dyadic, so numpy's float sum is exact as well
         curves = [[sum(r.rewards) / n for r in records] for records in reference]
         np.testing.assert_array_equal(metrics.mean_step_reward, np.mean(curves, axis=0))
 
 
-def _exact_mean(config, trials):
+def _exact_mean(trials):
     """Each round's reward over trials and users, as an exact Fraction rounded once."""
-    plays = config.users() * len(trials)
+    plays = len(trials[0][0].rewards) * len(trials)
     counts = [sum(sum(r.rewards) for r in round_) for round_ in zip(*trials)]
     return np.array([float(Fraction(count, plays)) for count in counts])
 
@@ -164,7 +164,7 @@ def _reference_curve(config):
         _reference_trial(config, RandomStream(config.seed, stream=trial))
         for trial in range(config.trials)
     ]
-    return _exact_mean(config, trials)
+    return _exact_mean(trials)
 
 
 def _ghz3(horizon, trials, seed):
