@@ -1,9 +1,10 @@
 """Command-line front end.
 
-One binary, five subcommands: qrng (raw bits plus a statistics battery),
-single, duo-conflict, coop, and ghz (full experiment runs emitted as CSV or
-JSON). Flags override config-file values; every emitted file carries enough
-metadata to replay the run exactly.
+One binary, five subcommands: qrng (raw bits from sample_bits plus a
+statistics battery), single, duo-conflict, coop, and ghz (learning runs,
+which emit plays and writes as CSV or JSON; it is their one writer). Flags
+override config-file values; every emitted file carries enough metadata to
+replay the run exactly.
 """
 
 from __future__ import annotations
@@ -39,14 +40,13 @@ from .harness import (
 )
 
 # bench/tracer.py wraps run_experiment under this name, so it stays
-# importable here although main plays trials through _trials
+# importable here although emit plays trials through _trials
 from .harness import run_experiment  # noqa: F401
 from .quantum import Direction, RandomStream, sample_bits
 
 __all__ = [
     "OUTPUT_DIR_ENV",
     "EmitOptions",
-    "OutputRecordSet",
     "parse_args",
     "config_to_dict",
     "config_from_metadata",
@@ -145,16 +145,6 @@ class EmitOptions:
     output: str | None
 
 
-@dataclass(frozen=True)
-class OutputRecordSet:
-    """Everything one run emits: replayable metadata, the trajectories whose
-    rounds become the rows, summary metrics."""
-
-    metadata: dict
-    trajectories: tuple[Trajectory, ...]
-    metrics: dict | None
-
-
 def _round12(value: float) -> float:
     """Round to 12 significant digits, the precision every emitted number gets."""
     return float(f"{value:.12g}")
@@ -181,7 +171,7 @@ def _build_parser() -> _Parser:
 def _load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -299,20 +289,14 @@ def read_csv_metadata(lines) -> dict[str, str]:
     return metadata
 
 
-def build_recordset(
-    config: ExperimentConfig,
-    trajectories: Sequence[Trajectory],
-    metrics: Metrics | None,
-) -> OutputRecordSet:
-    """Gather a run's emitted form: metadata, trajectories in trial order, rounded metrics."""
+def build_recordset(config: ExperimentConfig, metrics: Metrics) -> dict:
+    """A run's emitted head: {"metadata": replayable metadata, "metrics": rounded metrics}."""
     metadata = {"tool": "qubit-bandit", "version": __version__, "config": config_to_dict(config)}
-    metrics_dict = None
-    if metrics is not None:
-        metrics_dict = {
-            key: (_round12(value) if isinstance(value, float) else value)
-            for key, value in metrics.to_dict().items()
-        }
-    return OutputRecordSet(metadata, tuple(trajectories), metrics_dict)
+    metrics_dict = {
+        key: (_round12(value) if isinstance(value, float) else value)
+        for key, value in metrics.to_dict().items()
+    }
+    return {"metadata": metadata, "metrics": metrics_dict}
 
 
 def _float_str(value: float) -> str:
@@ -359,8 +343,9 @@ def _slices(rows):
 
 
 class _CsvText:
-    """One run's CSV text in three parts: head(recordset), then rows(trajectory)
-    for each trial in order, then tail(). Number texts are kept for the run."""
+    """One run's CSV text in three parts: head(build_recordset's dict), then
+    rows(trajectory) for each trial in order, then tail(). Number texts are
+    kept for the run."""
 
     def __init__(self) -> None:
         # f"{x:.12g}" is the text _meta_str gives _round12(x): 12 digits round-trip
@@ -368,12 +353,11 @@ class _CsvText:
         self.joined = _Texts(lambda values: "|".join(map(str, values)))
 
     @staticmethod
-    def head(recordset: OutputRecordSet) -> str:
-        metadata = recordset.metadata
+    def head(head: dict) -> str:
+        metadata = head["metadata"]
         lines = [f"# tool={metadata['tool']}", f"# version={metadata['version']}"]
         lines += [f"# {key}={_meta_str(value)}" for key, value in metadata["config"].items()]
-        if recordset.metrics is not None:
-            lines += [f"# metric:{key}={_meta_str(value)}" for key, value in recordset.metrics.items()]
+        lines += [f"# metric:{key}={_meta_str(value)}" for key, value in head["metrics"].items()]
         lines.append(_CSV_HEADER)
         return "\n".join(lines) + "\n"
 
@@ -398,16 +382,14 @@ class _CsvText:
 
 
 def _json_list(values) -> str:
-    """A list of ints as json.dumps(indent=2) lays it out inside a step row."""
-    if not values:
-        return "[]"
+    """A non-empty list of ints as json.dumps(indent=2) lays it out inside a step row."""
     return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
 
 class _JsonText:
     """One run's JSON text in three parts, as _CsvText; rows go between the
-    brackets of "steps", so the separators and tail depend on whether any
-    row came before."""
+    brackets of "steps", so a slice's separator depends on whether any row
+    came before."""
 
     def __init__(self) -> None:
         self.num = _Texts(lambda x: repr(_round12(x)))
@@ -415,12 +397,9 @@ class _JsonText:
         self.rows_written = False
 
     @staticmethod
-    def head(recordset: OutputRecordSet) -> str:
-        head = json.dumps(
-            {"metadata": recordset.metadata, "metrics": recordset.metrics, "steps": []}, indent=2
-        )
-        # head ends with '"steps": []\n}'; rows go between the brackets
-        return head[: -len("]\n}")]
+    def head(head: dict) -> str:
+        # the text ends with '"steps": []\n}'; rows go between the brackets
+        return json.dumps({**head, "steps": []}, indent=2)[: -len("]\n}")]
 
     def rows(self, trajectory: Trajectory) -> Iterator[str]:
         """The trajectory's rows, at most _ROWS_PER_WRITE to a string."""
@@ -454,42 +433,25 @@ class _JsonText:
             self.rows_written = True
 
     def tail(self) -> str:
-        return "\n  ]\n}\n" if self.rows_written else "]\n}\n"
+        return "\n  ]\n}\n"
 
 
 _TEXTS = {"csv": _CsvText, "json": _JsonText}
 
 
-def emit(recordset: OutputRecordSet, fmt: str, destination: Path | IO[str] | None = None) -> None:
-    """Write csv or json to a path, a file-like object, or stdout (None).
+def emit(config: ExperimentConfig, fmt: str, handle: IO[str], spill_dir: Path | None = None) -> None:
+    """Play a learning run and write it to handle as csv or json.
 
-    The header goes out first, then each trial's rows in slices of at most
-    _ROWS_PER_WRITE, formatted straight from the trajectory columns, so no
-    write holds more than one slice of rows.
+    One trial is held at a time. Each trial's rows are formatted, in
+    slices of at most _ROWS_PER_WRITE, as soon as it is played, and staged
+    in an unnamed temporary file in spill_dir (None: the system's temp
+    directory), since the head needs every trial's metrics first. Then the
+    head, the staged rows and the tail go to handle. A bad format or config
+    raises before anything is written.
     """
     if fmt not in _TEXTS:
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if destination is not None and not hasattr(destination, "write"):
-        with open(destination, "w") as handle:
-            emit(recordset, fmt, handle)
-        return
-    handle = sys.stdout if destination is None else destination
-    text = _TEXTS[fmt]()
-    handle.write(text.head(recordset))
-    for trajectory in recordset.trajectories:
-        for chunk in text.rows(trajectory):
-            handle.write(chunk)
-    handle.write(text.tail())
-
-
-def _run_trials(config: ExperimentConfig, fmt: str, handle: IO[str], spill_dir: Path | None) -> None:
-    """Emit a learning run as emit would, holding one trial at a time.
-
-    Each trial's rows are formatted as soon as it is played and staged in an
-    unnamed temporary file in spill_dir (None: the system's temp directory),
-    since the header needs every trial's metrics first. Then the header, the
-    staged rows and the tail go to handle.
-    """
+    config.validate()
     text = _TEXTS[fmt]()
     summary = _Summary(config)
     with tempfile.TemporaryFile("w+", dir=spill_dir) as staged:
@@ -497,7 +459,7 @@ def _run_trials(config: ExperimentConfig, fmt: str, handle: IO[str], spill_dir: 
             summary.add(trajectory)
             staged.writelines(text.rows(trajectory))
             del trajectory  # released before the next trial is played
-        handle.write(text.head(build_recordset(config, (), summary.metrics())))
+        handle.write(text.head(build_recordset(config, summary.metrics())))
         staged.seek(0)
         shutil.copyfileobj(staged, handle)
     handle.write(text.tail())
@@ -556,7 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _run_qrng(config, handle)
             else:
                 spill_dir = destination.parent if destination else None
-                _run_trials(config, options.format, handle, spill_dir)
+                emit(config, options.format, handle, spill_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,9 @@
 Each trial draws from its own stream derived from (root seed, trial index),
 so runs are reproducible bit for bit and trial execution order is irrelevant.
 A run derives all its trials' streams in bulk and hands each trial its
-stream's first block of draws.
+stream's first block of draws. Every run has users playing machines: a
+qrng config validates, for the CLI's qrng subcommand, but the trial source
+refuses it, since quantum.sample_bits draws a source's bits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections.abc import Mapping, Set
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -84,8 +86,8 @@ class ExperimentConfig:
 
     c applies to single and coop runs, constants and n_users to ghz runs,
     p_first to duo-conflict runs. initial_p0 doubles as the source bias for
-    qrng runs (where horizon is the bit count). drift_step of 0 disables
-    drift; a positive value turns on the bounded random walk.
+    the qrng subcommand (where horizon is the bit count). drift_step of 0
+    disables drift; a positive value turns on the bounded random walk.
     """
 
     scenario: Scenario
@@ -168,9 +170,9 @@ class Trajectory(NamedTuple):
     yields. Round t reads states[t] and leaves states[t + 1], measures
     bits[t], sends the users to machines[bits[t]], collects n rewards (0 or
     1, in user order) that sum to rewarded[t], and applies the update pair
-    moves[bits[t]][rewarded[t]]. rewards is flat, n entries a round
-    (n = len(machines[0]), 0 for a bare source), so round t's rewards are
-    rewards[n * t : n * (t + 1)]; rounds() and records regroup them.
+    moves[bits[t]][rewarded[t]]. rewards is flat, n = len(machines[0])
+    entries a round, so round t's rewards are rewards[n * t : n * (t + 1)];
+    rounds() and records regroup them.
     """
 
     trial: int
@@ -187,7 +189,7 @@ class Trajectory(NamedTuple):
         states = self.states
         n = len(self.machines[0])
         # n consumers of one iterator regroup the flat column into n-tuples
-        grouped = zip(*[iter(self.rewards)] * n) if n else repeat(())
+        grouped = zip(*[iter(self.rewards)] * n)
         steps = range(len(self.bits))
         return zip(steps, states, islice(states, 1, None), self.bits, grouped, self.rewarded)
 
@@ -203,7 +205,7 @@ class Trajectory(NamedTuple):
 
 class TrialMetrics(NamedTuple):
     """Summary of one trial; regret and best_arm_fraction are None when undefined
-    (drift on, or no machine play)."""
+    (drift on)."""
 
     trial: int
     total_reward: int
@@ -237,12 +239,12 @@ class Metrics:
     final_p0_mean: float
     final_p0_std: float
     mean_best_arm_fraction: float | None
-    mean_step_reward: np.ndarray | None
+    mean_step_reward: np.ndarray
 
     def regret_over(self, start: int, stop: int) -> float | None:
         """Mean per-user realized regret accumulated over rounds [start, stop)."""
         start, stop = _check_count("start", start, 0), _check_count("stop", stop, 0)
-        if self.best_p is None or self.mean_step_reward is None:
+        if self.best_p is None:
             return None
         if not start <= stop <= self.horizon:
             raise ValueError(f"window [{start}, {stop}) outside horizon {self.horizon}")
@@ -260,11 +262,11 @@ def _trial_inputs(config: ExperimentConfig):
     The machines per bit are the only statement of a scenario's players.
     """
     if config.scenario is Scenario.QRNG:
-        return config.initial_p0, ((), ()), ()
+        raise ConfigError("scenario: qrng plays no machine; sample_bits draws its bits")
     if config.scenario is Scenario.DUO_CONFLICT:
         return config.p_first, ((0, 1), (1, 0)), ()
     if config.scenario is Scenario.GHZ:
-        n, constants = config.n_users or 0, config.constants
+        n, constants = config.n_users, config.constants
     else:
         n, constants = (1 if config.scenario is Scenario.SINGLE_AGENT else 2), (config.c,)
     return config.initial_p0, ((0,) * n, (1,) * n), constants
@@ -310,8 +312,8 @@ class _Summary:
         machines = _trial_inputs(config)[1]
         self.config = config
         self.horizon = config.horizon
-        self.n_users = n_users = len(machines[0])
-        self.scored = n_users > 0 and not config.drift_on()
+        self.n_users = len(machines[0])
+        self.scored = not config.drift_on()
         self.best_p = max(config.p1, config.p2)
         best_arm = 0 if config.p1 >= config.p2 else 1
         # users on the best machine when the measurement reads 0, and when it reads 1
@@ -322,9 +324,8 @@ class _Summary:
         if config.scenario is Scenario.DUO_CONFLICT:
             self.colliding = [bit for bit, (u, v) in enumerate(machines) if u == v]
         self.per_trial: list[TrialMetrics | None] = [None] * config.trials
-        # per round, the reward count summed over the trials added so far;
-        # qrng plays no machine, and its horizon is a bit count
-        self.counts = [0] * config.horizon if n_users else []
+        # per round, the reward count summed over the trials added so far
+        self.counts = [0] * config.horizon
 
     def add(self, trajectory: Trajectory) -> None:
         """Summarise one trial; add its per-round reward counts to the curve's."""
@@ -348,9 +349,6 @@ class _Summary:
         """The run's Metrics, once every trial has been added."""
         config, summaries, scored = self.config, self.per_trial, self.scored
         finals = np.array([s.final_p0 for s in summaries])
-        mean_curve = None
-        if self.n_users:
-            mean_curve = np.array(self.counts, dtype=float) / (self.n_users * config.trials)
         return Metrics(
             n_trials=config.trials,
             horizon=config.horizon,
@@ -366,7 +364,7 @@ class _Summary:
             mean_best_arm_fraction=(
                 float(np.mean([s.best_arm_fraction for s in summaries])) if scored else None
             ),
-            mean_step_reward=mean_curve,
+            mean_step_reward=np.array(self.counts, dtype=float) / (self.n_users * config.trials),
         )
 
 

@@ -7,8 +7,9 @@ update for n users on a shared GHZ register. Single and cooperative play
 are the one- and two-user cases of the majority round. The step functions
 play one round each: state in, (new state, record) out, randomness only
 through the given stream. play_trials runs the same rules for every trial
-of a run, of any scenario, and yields each trial's per-round columns; it is
-what the harness runs, and the step functions are its per-round reference.
+of a run, of any scenario where users play machines, and yields each
+trial's per-round columns; it is what the harness runs, and the step
+functions are its per-round reference.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ class GhzConstants:
 class StepRecord:
     """What one round did: state in, observations, update applied, state out.
 
-    machines and rewards hold one entry per user; both are empty for rounds
-    that involve no machine play. update_magnitude is 0 when no update applied.
+    machines and rewards hold one entry per user. update_magnitude is 0 when
+    no update applied.
     """
 
     step: int
@@ -258,9 +259,9 @@ def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
 
 
 def _draws_per_round(n: int, drift: float) -> int:
-    """The draw contract: the bit, one pull per user, and with drift, when
-    users play, one step per machine."""
-    return 1 + n + (2 if drift > 0.0 and n > 0 else 0)
+    """The draw contract: the bit, one pull per user, and with drift one step
+    per machine."""
+    return 1 + n + (2 if drift > 0.0 else 0)
 
 
 def play_trials(
@@ -276,18 +277,18 @@ def play_trials(
     yield each as per-round columns.
 
     machines[b] names the machine each user plays when the measurement reads
-    b: (b,) * n for n learners, (b, 1 - b) for the duo, () for a bare
-    source. moves is the run's update table, _update_moves(n, constants).
-    arms holds the reward probabilities of machines 0 and 1, where every
-    trial starts. Each round, in draw-contract order:
+    b: (b,) * n for n learners, (b, 1 - b) for the duo. moves is the run's
+    update table, _update_moves(n, constants). arms holds the reward
+    probabilities of machines 0 and 1, where every trial starts. Each round,
+    in draw-contract order:
 
     1. one draw measures p into the bit b;
     2. each user, in order, pulls machines[b] (one draw each);
     3. with r rewards out of n, p moves by moves[b][r]: constants[min(r, n - r)],
        toward zero iff (b == 0) == (2r > n), clamped to [0, 1]; a tie
-       (2r == n) moves nothing, and empty constants never move p (duo, source);
-    4. when drift > 0 and users play, each machine's reward probability
-       takes a clamped +/- drift step, machine 0 first (one draw each).
+       (2r == n) moves nothing, and empty constants never move p (the duo);
+    4. when drift > 0, each machine's reward probability takes a clamped
+       +/- drift step, machine 0 first (one draw each).
 
     Single play is n = 1 and coop n = 2 with constants (c,); these are the
     rules single_agent_step, coop_pair_step, ghz_step and drift_step apply
@@ -299,10 +300,9 @@ def play_trials(
     out as harness.Trajectory's docstring states. The generator lets go of
     a trial's columns before it plays the next one.
     """
-    n = len(machines[0])
     held = (_Machine(arms[0]), _Machine(arms[1]))
     plays = (tuple(held[m] for m in machines[0]), tuple(held[m] for m in machines[1]))
-    drifting = held if drift > 0.0 and n > 0 else ()
+    drifting = held if drift > 0.0 else ()
     toward_zero = Direction.TOWARD_ZERO
     draw = pull
     start = p

@@ -12,7 +12,6 @@ from qubit_bandit.cli import (
     _CSV_HEADER,
     _ROWS_PER_WRITE,
     OUTPUT_DIR_ENV,
-    build_recordset,
     config_from_metadata,
     config_to_dict,
     emit,
@@ -159,6 +158,15 @@ def test_config_file_malformed_line_is_an_error(tmp_path):
 def test_config_file_missing_is_an_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_args(["single", "--c", "0.1", "--config", str(tmp_path / "absent.cfg")])
+
+
+def test_config_file_that_is_not_text_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"\xff\xfehorizon=5\n")
+    code, out, err = _run(capsys, ["single", "--c", "0.1", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config: cannot read {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_config_file_bad_value_type_is_an_error(tmp_path):
@@ -513,7 +521,7 @@ def test_numpy_config_values_emit_the_same_bytes():
         texts = []
         for config in (plain, numpy_valued):
             buffer = io.StringIO()
-            emit(build_recordset(config, *run_experiment(config)), fmt, buffer)
+            emit(config, fmt, buffer)
             texts.append(buffer.getvalue())
         assert texts[0] == texts[1]
 
@@ -603,7 +611,7 @@ def test_a_field_the_scenario_does_not_use_validates_and_replays(settings_, fiel
         ExperimentConfig(horizon=3, **settings_, **{field: bad}).validate()
     config = ExperimentConfig(horizon=3, trials=2, **settings_, **{field: good})
     buffer = io.StringIO()
-    emit(build_recordset(config, *run_experiment(config)), fmt, buffer)
+    emit(config, fmt, buffer)
     if fmt == "csv":
         metadata = read_csv_metadata(buffer.getvalue().splitlines())
     else:
@@ -659,34 +667,6 @@ def test_json_and_csv_agree_on_metrics(capsys):
     assert int(metric_lines["n_trials"]) == payload["metrics"]["n_trials"]
 
 
-def test_emit_handles_zero_rows_and_file_objects():
-    config = parse_args(["single", "--c", "0.1", "--horizon", "5"])[0]
-    recordset = build_recordset(config, (), None)
-    buffer = io.StringIO()
-    emit(recordset, "csv", buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[-1] == _CSV_HEADER  # metadata and header only, no rows
-    buffer = io.StringIO()
-    emit(recordset, "json", buffer)
-    payload = json.loads(buffer.getvalue())
-    assert payload["steps"] == []
-    assert payload["metrics"] is None
-
-
-def test_emit_rejects_unknown_format():
-    config = parse_args(["single", "--c", "0.1"])[0]
-    with pytest.raises(ValueError):
-        emit(build_recordset(config, (), None), "xml", io.StringIO())
-
-
-def test_config_to_dict_masks_unused_fields():
-    config = parse_args(["single", "--c", "0.1"])[0]
-    as_dict = config_to_dict(config)
-    assert as_dict["constants"] is None
-    assert as_dict["n_users"] is None
-    assert as_dict["scenario"] == "single"
-
-
 class _WriteLog:
     """A text handle that keeps each write separately."""
 
@@ -697,22 +677,77 @@ class _WriteLog:
         self.writes.append(text)
 
 
+def test_emit_rejects_unknown_format():
+    config = parse_args(["single", "--c", "0.1"])[0]
+    with pytest.raises(ValueError):
+        emit(config, "xml", io.StringIO())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        (ExperimentConfig(scenario=Scenario.SINGLE_AGENT), "c: required for scenario 'single'"),
+        (
+            ExperimentConfig(scenario=Scenario.QRNG),
+            "scenario: qrng plays no machine; sample_bits draws its bits",
+        ),
+    ],
+    ids=["single-without-c", "qrng"],
+)
+def test_emit_refuses_a_bad_config_before_writing(config, message, fmt):
+    log = _WriteLog()
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        emit(config, fmt, log)
+    assert log.writes == []
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["output", "stdout"])
+def test_main_stages_rows_beside_the_output(capsys, tmp_path, monkeypatch, to_file):
+    dirs = []
+    temporary_file = cli.tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        dirs.append(kwargs.get("dir"))
+        return temporary_file(*args, **kwargs)
+
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", spy)
+    argv = ["single", "--c", "0.1", "--horizon", "5", "--trials", "2"]
+    if to_file:
+        argv += ["--output", str(tmp_path / "sub" / "out.csv")]
+    assert _run(capsys, argv)[0] == 0
+    assert dirs == [tmp_path / "sub" if to_file else None]
+
+
+def test_config_to_dict_masks_unused_fields():
+    config = parse_args(["single", "--c", "0.1"])[0]
+    as_dict = config_to_dict(config)
+    assert as_dict["constants"] is None
+    assert as_dict["n_users"] is None
+    assert as_dict["scenario"] == "single"
+
+
 @pytest.mark.parametrize("fmt,row_mark", [("csv", "\n"), ("json", '"trial": ')])
 def test_emit_writes_rows_in_bounded_slices(fmt, row_mark):
     config = ExperimentConfig(
         scenario=Scenario.GHZ, n_users=3, constants=(0.1, 0.05), horizon=3000, trials=2, seed=4
     )
     trajectories, metrics = run_experiment(config)
-    log = _WriteLog()
-    emit(build_recordset(config, trajectories, metrics), fmt, log)
-    # rows in each write after the header
-    rows = [text.count(row_mark) for text in log.writes[1:]]
+    formatter = cli._TEXTS[fmt]()
+    slices = [chunk for t in trajectories for chunk in formatter.rows(t)]
+    # rows in each slice
+    rows = [text.count(row_mark) for text in slices]
     assert sum(rows) == 6000
     assert max(rows) <= _ROWS_PER_WRITE
     # each trial fills every slice but its last
     assert rows.count(_ROWS_PER_WRITE) == 2 * (3000 // _ROWS_PER_WRITE)
-    # the slices join into every round, in order, with its rewards
+    # emit's output is the head, the slices in order, and the tail
+    log = _WriteLog()
+    emit(config, fmt, log)
     text = "".join(log.writes)
+    head = formatter.head(cli.build_recordset(config, metrics))
+    assert text == head + "".join(slices) + formatter.tail()
+    # the slices join into every round, in order, with its rewards
     if fmt == "json":
         got = [(s["trial"], s["step"], s["reward"]) for s in json.loads(text)["steps"]]
     else:

@@ -4,7 +4,7 @@ The files under tests/golden/ were written by the CLI before its emitter
 was rewritten to stream rows; any change to an emitted byte fails here.
 Each case runs in both formats. Horizons stay in the tens of rounds so the
 files stay small. The JSON emitter is also checked against json.dumps of
-per-row dicts, on inputs the CLI never produces (no rows, no machines).
+the head dict plus per-row dicts.
 """
 
 import io
@@ -59,7 +59,7 @@ def test_stdout_output_matches_golden_bytes(fmt, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"ghz-drift.{fmt}").read_bytes()
 
 
-def _reference_payload(recordset):
+def _reference_payload(head, trajectories):
     """The emitted JSON document as a dict, built the way json.dumps would see it."""
     steps = [
         {
@@ -73,21 +73,21 @@ def _reference_payload(recordset):
             "update_magnitude": _round12(r.update_magnitude),
             "p0_after": _round12(r.p0_after),
         }
-        for trajectory in recordset.trajectories
+        for trajectory in trajectories
         for r in trajectory.records
     ]
-    return {"metadata": recordset.metadata, "metrics": recordset.metrics, "steps": steps}
+    return {**head, "steps": steps}
 
 
 @pytest.mark.parametrize(
     "scenario,trials",
-    [(Scenario.QRNG, 2), (Scenario.SINGLE_AGENT, 0), (Scenario.SINGLE_AGENT, 3)],
-    ids=["qrng-no-machines", "no-rows", "single"],
+    [(Scenario.SINGLE_AGENT, 3), (Scenario.DUO_CONFLICT, 2)],
+    ids=["single", "duo"],
 )
 def test_json_rows_equal_json_dumps_of_the_row_dicts(scenario, trials):
-    config = ExperimentConfig(scenario=scenario, c=0.3, horizon=4, trials=max(trials, 1), seed=2)
+    config = ExperimentConfig(scenario=scenario, c=0.3, horizon=4, trials=trials, seed=2)
     trajectories, metrics = run_experiment(config)
-    recordset = build_recordset(config, trajectories[:trials], metrics if trials else None)
     buffer = io.StringIO()
-    emit(recordset, "json", buffer)
-    assert buffer.getvalue() == json.dumps(_reference_payload(recordset), indent=2) + "\n"
+    emit(config, "json", buffer)
+    payload = _reference_payload(build_recordset(config, metrics), trajectories)
+    assert buffer.getvalue() == json.dumps(payload, indent=2) + "\n"

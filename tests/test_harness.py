@@ -39,7 +39,6 @@ def test_user_counts_per_scenario():
     def users(config):
         return run_experiment(config)[1].n_users
 
-    assert users(ExperimentConfig(scenario=Scenario.QRNG, horizon=1)) == 0
     assert users(_single_config(horizon=1, trials=1)) == 1
     assert users(ExperimentConfig(scenario=Scenario.DUO_CONFLICT, horizon=1)) == 2
     assert users(ExperimentConfig(scenario=Scenario.COOP_PAIR, c=0.1, horizon=1)) == 2
@@ -286,17 +285,12 @@ def test_ghz_symmetric_machines_leave_the_state_centered():
     assert abs(metrics.final_p0_mean - 0.5) < 0.05
 
 
-def test_qrng_scenario_records_bits_without_machine_play():
+def test_qrng_config_validates_but_plays_no_run():
+    # the CLI's qrng subcommand validates its config and draws through sample_bits
     config = ExperimentConfig(scenario=Scenario.QRNG, initial_p0=0.5, horizon=5000, seed=2)
-    trajectories, metrics = run_experiment(config)
-    records = trajectories[0].records
-    assert all(r.machines == () and r.rewards == () for r in records)
-    assert metrics.mean_step_reward is None
-    assert metrics.mean_regret is None
-    assert metrics.best_p is None
-    assert metrics.final_p0_mean == 0.5
-    bits = [r.measured_bit for r in records]
-    assert frequency_test(bits).passed
+    config.validate()
+    with pytest.raises(ConfigError, match=r"^scenario: qrng plays no machine; sample_bits draws"):
+        run_experiment(config)
 
 
 def test_drift_disables_regret_metrics():

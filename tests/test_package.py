@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import qubit_bandit
-from qubit_bandit import bandit, harness, oracle, policies, quantum
+from qubit_bandit import bandit, cli, harness, oracle, policies, quantum
 
 
 def test_public_names_are_the_union_of_the_module_lists():
@@ -17,6 +17,14 @@ def test_public_names_are_the_union_of_the_module_lists():
         assert getattr(qubit_bandit, name) is not None
     modules = (quantum, bandit, policies, oracle, harness)
     assert set(names) == {"__version__"}.union(*(m.__all__ for m in modules))
+
+
+def test_cli_public_names_resolve_and_are_unique():
+    # cli stays out of the package's names, so nothing else checks its list
+    names = cli.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(cli, name), name
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:

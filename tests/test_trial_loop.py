@@ -6,8 +6,7 @@ replayed through the step functions one round at a time, with a fresh
 environment and drift_step after every round, and the records and metrics
 of both routes must agree exactly. The draw and pull counts of every
 scenario are checked against the contract: per round, single 2 draws, coop
-3, GHZ n + 1, duo 3, qrng 1, plus 2 with drift on for the scenarios that
-play machines.
+3, GHZ n + 1, duo 3, plus 2 with drift on.
 """
 
 import json
@@ -36,7 +35,7 @@ from qubit_bandit.policies import (
     ghz_step,
     single_agent_step,
 )
-from qubit_bandit.quantum import RandomStream, sample_bit
+from qubit_bandit.quantum import RandomStream
 
 
 def _reference_trial(config, rng):
@@ -47,10 +46,6 @@ def _reference_trial(config, rng):
     p0 = config.initial_p0
     for step in range(config.horizon):
         scenario = config.scenario
-        if scenario is Scenario.QRNG:
-            bit = sample_bit(p0, rng)
-            records.append(StepRecord(step, p0, bit, (), (), None, 0.0, p0))
-            continue
         if scenario is Scenario.SINGLE_AGENT:
             p0, record = single_agent_step(p0, env, UpdateConfig(config.c), rng, step=step)
         elif scenario is Scenario.DUO_CONFLICT:
@@ -73,7 +68,7 @@ def _reference_metrics(config, trials):
     """Metrics.to_dict() recomputed from the reference records of every trial."""
     n = len(trials[0][0].rewards)
     horizon = config.horizon
-    scored = n > 0 and not config.drift_on()
+    scored = not config.drift_on()
     best_arm = 0 if config.p1 >= config.p2 else 1
     window_steps = max(1, int(horizon * config.window))
     totals, regrets, fractions, finals = [], [], [], []
@@ -108,7 +103,7 @@ probabilities = st.floats(0.0, 1.0)
 
 @st.composite
 def configs(draw):
-    scenario = draw(st.sampled_from(list(Scenario)))
+    scenario = draw(st.sampled_from([s for s in Scenario if s is not Scenario.QRNG]))
     kwargs = dict(
         scenario=scenario,
         p1=draw(probabilities),
@@ -143,8 +138,7 @@ def test_trial_loop_matches_the_per_round_reference(config):
     assert [t.records for t in trajectories] == reference
     assert metrics.to_dict() == _reference_metrics(config, reference)
     n = len(reference[0][0].rewards)
-    if n:
-        np.testing.assert_array_equal(metrics.mean_step_reward, _exact_mean(reference))
+    np.testing.assert_array_equal(metrics.mean_step_reward, _exact_mean(reference))
     if n in (1, 2, 4):
         # per-user rewards are dyadic, so numpy's float sum is exact as well
         curves = [[sum(r.rewards) / n for r in records] for records in reference]
@@ -234,20 +228,19 @@ _CONTRACT = [
     (dict(scenario=Scenario.GHZ, n_users=4, constants=(0.1, 0.05)), 5, 4),
     (dict(scenario=Scenario.GHZ, n_users=5, constants=(0.1, 0.05, 0.01)), 6, 5),
     (dict(scenario=Scenario.DUO_CONFLICT), 3, 2),
-    (dict(scenario=Scenario.QRNG), 1, 0),
 ]
 
 
 @pytest.mark.parametrize("drift", [0.0, 0.01], ids=["still", "drift"])
 @pytest.mark.parametrize(
-    "settings_,draws,pulls", _CONTRACT, ids=["single", "coop", "ghz4", "ghz5", "duo", "qrng"]
+    "settings_,draws,pulls", _CONTRACT, ids=["single", "coop", "ghz4", "ghz5", "duo"]
 )
 def test_run_experiment_keeps_the_draw_contract(monkeypatch, settings_, draws, pulls, drift):
     counts = _counting(monkeypatch, harness)
     config = ExperimentConfig(p1=0.6, p2=0.3, horizon=7, trials=3, drift_step=drift, **settings_)
     run_experiment(config)
     rounds = config.horizon * config.trials
-    drift_draws = 2 if drift and pulls else 0
+    drift_draws = 2 if drift else 0
     assert counts == {"draws": (draws + drift_draws) * rounds, "pulls": pulls * rounds}
 
 
