@@ -667,6 +667,20 @@ def test_json_and_csv_agree_on_metrics(capsys):
     assert int(metric_lines["n_trials"]) == payload["metrics"]["n_trials"]
 
 
+def test_emit_rejects_unknown_format():
+    config = parse_args(["single", "--c", "0.1"])[0]
+    with pytest.raises(ValueError):
+        emit(config, "xml", io.StringIO())
+
+
+def test_config_to_dict_masks_unused_fields():
+    config = parse_args(["single", "--c", "0.1"])[0]
+    as_dict = config_to_dict(config)
+    assert as_dict["constants"] is None
+    assert as_dict["n_users"] is None
+    assert as_dict["scenario"] == "single"
+
+
 class _WriteLog:
     """A text handle that keeps each write separately."""
 
@@ -677,10 +691,33 @@ class _WriteLog:
         self.writes.append(text)
 
 
-def test_emit_rejects_unknown_format():
-    config = parse_args(["single", "--c", "0.1"])[0]
-    with pytest.raises(ValueError):
-        emit(config, "xml", io.StringIO())
+@pytest.mark.parametrize("fmt,row_mark", [("csv", "\n"), ("json", '"trial": ')])
+def test_emit_writes_rows_in_bounded_slices(fmt, row_mark):
+    config = ExperimentConfig(
+        scenario=Scenario.GHZ, n_users=3, constants=(0.1, 0.05), horizon=3000, trials=2, seed=4
+    )
+    trajectories, metrics = run_experiment(config)
+    formatter = cli._TEXTS[fmt]()
+    slices = [chunk for t in trajectories for chunk in formatter.rows(t)]
+    # rows in each slice
+    rows = [text.count(row_mark) for text in slices]
+    assert sum(rows) == 6000
+    assert max(rows) <= _ROWS_PER_WRITE
+    # each trial fills every slice but its last
+    assert rows.count(_ROWS_PER_WRITE) == 2 * (3000 // _ROWS_PER_WRITE)
+    # emit's output is the head, the slices in order, and the tail
+    log = _WriteLog()
+    emit(config, fmt, log)
+    text = "".join(log.writes)
+    head = formatter.head(cli.build_recordset(config, metrics))
+    assert text == head + "".join(slices) + formatter.tail()
+    # the slices join into every round, in order, with its rewards
+    if fmt == "json":
+        got = [(s["trial"], s["step"], s["reward"]) for s in json.loads(text)["steps"]]
+    else:
+        fields = [line.split(",") for line in text.splitlines()[-6000:]]
+        got = [(int(f[0]), int(f[1]), [int(r) for r in f[5].split("|")]) for f in fields]
+    assert got == [(t.trial, r.step, list(r.rewards)) for t in trajectories for r in t.records]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -717,43 +754,6 @@ def test_main_stages_rows_beside_the_output(capsys, tmp_path, monkeypatch, to_fi
         argv += ["--output", str(tmp_path / "sub" / "out.csv")]
     assert _run(capsys, argv)[0] == 0
     assert dirs == [tmp_path / "sub" if to_file else None]
-
-
-def test_config_to_dict_masks_unused_fields():
-    config = parse_args(["single", "--c", "0.1"])[0]
-    as_dict = config_to_dict(config)
-    assert as_dict["constants"] is None
-    assert as_dict["n_users"] is None
-    assert as_dict["scenario"] == "single"
-
-
-@pytest.mark.parametrize("fmt,row_mark", [("csv", "\n"), ("json", '"trial": ')])
-def test_emit_writes_rows_in_bounded_slices(fmt, row_mark):
-    config = ExperimentConfig(
-        scenario=Scenario.GHZ, n_users=3, constants=(0.1, 0.05), horizon=3000, trials=2, seed=4
-    )
-    trajectories, metrics = run_experiment(config)
-    formatter = cli._TEXTS[fmt]()
-    slices = [chunk for t in trajectories for chunk in formatter.rows(t)]
-    # rows in each slice
-    rows = [text.count(row_mark) for text in slices]
-    assert sum(rows) == 6000
-    assert max(rows) <= _ROWS_PER_WRITE
-    # each trial fills every slice but its last
-    assert rows.count(_ROWS_PER_WRITE) == 2 * (3000 // _ROWS_PER_WRITE)
-    # emit's output is the head, the slices in order, and the tail
-    log = _WriteLog()
-    emit(config, fmt, log)
-    text = "".join(log.writes)
-    head = formatter.head(cli.build_recordset(config, metrics))
-    assert text == head + "".join(slices) + formatter.tail()
-    # the slices join into every round, in order, with its rewards
-    if fmt == "json":
-        got = [(s["trial"], s["step"], s["reward"]) for s in json.loads(text)["steps"]]
-    else:
-        fields = [line.split(",") for line in text.splitlines()[-6000:]]
-        got = [(int(f[0]), int(f[1]), [int(r) for r in f[5].split("|")]) for f in fields]
-    assert got == [(t.trial, r.step, list(r.rewards)) for t in trajectories for r in t.records]
 
 
 # ---------------------------------------------------------------------------
