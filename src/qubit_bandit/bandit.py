@@ -1,4 +1,7 @@
-"""Bernoulli slot machines: a two-armed bank, replicated copies, optional drift."""
+"""Bernoulli slot machines: a two-armed bank, replicated copies, optional drift.
+
+A machine is its reward probability: it pays 1 with that probability, else 0.
+"""
 
 from __future__ import annotations
 
@@ -6,54 +9,31 @@ from dataclasses import dataclass
 
 from .quantum import RandomStream, _check_count, _check_probability
 
-__all__ = [
-    "BernoulliArm",
-    "DriftModel",
-    "TwoArmBandit",
-    "ReplicatedBandit",
-    "pull",
-    "drift_step",
-]
-
-
-@dataclass(frozen=True)
-class BernoulliArm:
-    """A machine paying reward 1 with fixed probability, else 0."""
-
-    p_reward: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_reward", _check_probability("p_reward", self.p_reward))
-
-
-@dataclass(frozen=True)
-class DriftModel:
-    """Optional nonstationarity: each round every arm takes a +/- step, clamped."""
-
-    step_size: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "step_size", _check_probability("step_size", self.step_size))
+__all__ = ["TwoArmBandit", "ReplicatedBandit", "pull", "drift_step"]
 
 
 @dataclass(frozen=True)
 class TwoArmBandit:
-    """Two machines side by side; machine index doubles as the measured bit."""
+    """Two machines side by side; machine index doubles as the measured bit.
 
-    arm0: BernoulliArm
-    arm1: BernoulliArm
-    drift: DriftModel | None = None
+    Machine 0 pays p1 and machine 1 pays p2. drift is the step of the
+    optional bounded random walk; 0 turns it off.
+    """
 
-    @classmethod
-    def from_probs(cls, p1: float, p2: float, drift: DriftModel | None = None) -> TwoArmBandit:
-        """Build from the two reward probabilities (machine 0 pays p1, machine 1 pays p2)."""
-        return cls(BernoulliArm(p1), BernoulliArm(p2), drift)
+    p1: float
+    p2: float
+    drift: float = 0.0
 
-    def arm(self, index: int) -> BernoulliArm:
+    def __post_init__(self) -> None:
+        for name in ("p1", "p2", "drift"):
+            object.__setattr__(self, name, _check_probability(name, getattr(self, name)))
+
+    def arm(self, index: int) -> float:
+        """Machine index's reward probability."""
         if index == 0:
-            return self.arm0
+            return self.p1
         if index == 1:
-            return self.arm1
+            return self.p2
         raise ValueError(f"machine index must be 0 or 1, got {index!r}")
 
 
@@ -70,23 +50,27 @@ class ReplicatedBandit:
         object.__setattr__(self, "n_users", _check_count("n_users", self.n_users, 2))
 
 
-def pull(arm: BernoulliArm, rng: RandomStream) -> int:
-    """Play a machine once. One draw; returns 1 on reward."""
-    return 1 if rng.uniform() < arm.p_reward else 0
+def pull(p_reward: float, rng: RandomStream) -> int:
+    """Play a machine of reward probability p_reward once. One draw; returns
+    1 on reward.
+
+    p_reward is not checked here: TwoArmBandit and ExperimentConfig check
+    their probabilities once.
+    """
+    return 1 if rng.uniform() < p_reward else 0
 
 
 def drift_step(env: TwoArmBandit, rng: RandomStream) -> TwoArmBandit:
-    """Advance the environment one drift move; identity when it has no drift model.
+    """Advance the bank one drift move; the same bank when drift is 0.
 
-    Each arm independently moves step_size up or down (sign drawn for arm 0
-    first, then arm 1) and is clamped to [0, 1].
+    Each machine independently moves drift up or down (sign drawn for
+    machine 0 first, then machine 1) and is clamped to [0, 1].
     """
-    drift = env.drift
-    if drift is None:
+    step = env.drift
+    if not step:
         return env
-    step = drift.step_size
     moved = []
-    for arm in (env.arm0, env.arm1):
+    for p in (env.p1, env.p2):
         delta = step if rng.uniform() < 0.5 else -step
-        moved.append(BernoulliArm(min(max(arm.p_reward + delta, 0.0), 1.0)))
-    return TwoArmBandit(moved[0], moved[1], drift)
+        moved.append(min(max(p + delta, 0.0), 1.0))
+    return TwoArmBandit(moved[0], moved[1], step)

@@ -227,8 +227,14 @@ def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, Emi
     if values.get("output") == "":
         raise ConfigError("output: expected a file path, got ''")
     fields = {_FLAGS[flag][0]: value for flag, value in values.items() if _FLAGS[flag][0]}
-    config = ExperimentConfig(Scenario(command), **fields)
-    config.validate()
+    try:
+        config = ExperimentConfig(Scenario(command), **fields)
+        config.validate()
+    except ConfigError as exc:
+        # name the flag the user typed (config-file keys are flags too)
+        field, _, rest = str(exc).partition(": ")
+        flag = next((f for f in flags if _FLAGS[f][0] == field), field)
+        raise ConfigError(f"{flag}: {rest}") from exc
     fmt = values.get("format", "csv" if "format" in flags else "bits")
     return config, EmitOptions(format=fmt, output=values.get("output"))
 

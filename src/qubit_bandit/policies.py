@@ -131,10 +131,10 @@ def _majority_round(
     Single play is n = 1 and coop n = 2, each with the one constant c.
     """
     bit = sample_bit(p0, rng)
-    arm = arms.arm(bit)
+    p_reward = arms.arm(bit)
     rewards: tuple[int, ...] = ()
     for _ in range(n):
-        rewards += (pull(arm, rng),)
+        rewards += (pull(p_reward, rng),)
     outcome = majority_update_rule(n, rewards)
     if outcome is None:
         return p0, StepRecord(step, p0, bit, (bit,) * n, rewards, None, 0.0, p0)
@@ -231,15 +231,6 @@ def ghz_step(
     return _majority_round(p0, env.template, n, constants.constants, rng, step)
 
 
-class _Machine:
-    """A reward probability that play_trials' drift moves in place."""
-
-    __slots__ = ("p_reward",)
-
-    def __init__(self, p_reward: float) -> None:
-        self.p_reward = p_reward
-
-
 def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
     """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
     after reading bit. The run path's only toward-zero decision."""
@@ -293,21 +284,20 @@ def play_trials(
     Single play is n = 1 and coop n = 2 with constants (c,); these are the
     rules single_agent_step, coop_pair_step, ghz_step and drift_step apply
     one round at a time. Inputs are not validated here; callers check them
-    once per run. The run's players and machines are set up once, and pull
-    is looked up when the first trial starts.
+    once per run. Each trial keeps its two machines' reward probabilities in
+    a two-item list: users index it by machine, and drift walks it in place.
+    pull is looked up when the first trial starts.
 
     Each item is a trial's columns (states, bits, rewards, rewarded), laid
     out as harness.Trajectory's docstring states. The generator lets go of
     a trial's columns before it plays the next one.
     """
-    held = (_Machine(arms[0]), _Machine(arms[1]))
-    plays = (tuple(held[m] for m in machines[0]), tuple(held[m] for m in machines[1]))
-    drifting = held if drift > 0.0 else ()
+    drifting = (0, 1) if drift > 0.0 else ()
     toward_zero = Direction.TOWARD_ZERO
     draw = pull
     start = p
     for rng in streams:
-        held[0].p_reward, held[1].p_reward = arms
+        probs = list(arms)
         uniform = rng.uniform
         p = start
         states = [p]
@@ -317,8 +307,8 @@ def play_trials(
         for _ in range(horizon):
             bit = 0 if uniform() < p else 1
             r = 0
-            for machine in plays[bit]:
-                reward = draw(machine, rng)
+            for machine in machines[bit]:
+                reward = draw(probs[machine], rng)
                 rewards.append(reward)
                 r += reward
             direction, magnitude = moves[bit][r]
@@ -328,7 +318,7 @@ def play_trials(
                 p = max(p - magnitude, 0.0)
             for machine in drifting:
                 step = drift if uniform() < 0.5 else -drift
-                machine.p_reward = min(max(machine.p_reward + step, 0.0), 1.0)
+                probs[machine] = min(max(probs[machine] + step, 0.0), 1.0)
             states.append(p)
             bits.append(bit)
             rewarded.append(r)

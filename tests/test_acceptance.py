@@ -86,7 +86,7 @@ def test_03_one_step_oracle_equivalence(capsys):
     for case in range(50):
         p0, p1, p2 = params.random(3)
         c = params.uniform(0.005, 0.3)
-        env = TwoArmBandit.from_probs(p1, p2)
+        env = TwoArmBandit(p1, p2)
         cfg = UpdateConfig(c)
         stream = RandomStream(777, stream=case)
         counts: dict[float, int] = {}
@@ -258,7 +258,7 @@ def test_08_cooperative_split_neutrality(capsys):
     for case in range(10_000):
         if case % 100 == 0:
             p1, p2 = params.random(2)
-            env = ReplicatedBandit(TwoArmBandit.from_probs(p1, p2), 2)
+            env = ReplicatedBandit(TwoArmBandit(p1, p2), 2)
             cfg = UpdateConfig(params.uniform(0.001, 0.4))
         p0 = float(params.random())
         out, record = coop_pair_step(p0, env, cfg, stream)
@@ -372,14 +372,14 @@ def test_11_state_validity(capsys):
             p0 = float(params.random())
             check(p0)
             if scenario == "single":
-                env = TwoArmBandit.from_probs(p1, p2)
+                env = TwoArmBandit(p1, p2)
                 cfg = UpdateConfig(params.uniform(0.001, 0.4))
                 for _ in range(1000):
                     p0, _ = single_agent_step(p0, env, cfg, stream)
                     check(p0)
                     steps_taken += 1
             elif scenario == "coop":
-                env = ReplicatedBandit(TwoArmBandit.from_probs(p1, p2), 2)
+                env = ReplicatedBandit(TwoArmBandit(p1, p2), 2)
                 cfg = UpdateConfig(params.uniform(0.001, 0.4))
                 for _ in range(1000):
                     p0, _ = coop_pair_step(p0, env, cfg, stream)
@@ -390,7 +390,7 @@ def test_11_state_validity(capsys):
                 count = GhzConstants.required_count(n)
                 first = params.uniform(0.05, 0.2)
                 constants = GhzConstants(tuple(first * 0.5**i for i in range(count)))
-                env = ReplicatedBandit(TwoArmBandit.from_probs(p1, p2), n)
+                env = ReplicatedBandit(TwoArmBandit(p1, p2), n)
                 for _ in range(1000):
                     p0, _ = ghz_step(p0, env, constants, stream)
                     check(p0)

@@ -296,8 +296,11 @@ def test_main_rejects_non_finite_increments(capsys, argv):
         (
             ["ghz", "--n", "1", "--constants", "0.1"],
             None,
-            "n_users: must be an integer >= 2, got 1",
+            "n: must be an integer >= 2, got 1",
         ),
+        (["qrng", "--count", "0"], None, "count: must be an integer >= 1, got 0"),
+        (["single", "--c", "0.1", "--p0", "nan"], None, "p0: must be in [0, 1], got nan"),
+        (["single", "--c", "0.1"], "p0=nan\n", "p0: must be in [0, 1], got nan"),
     ],
     ids=[
         "qrng-missing-count",
@@ -313,6 +316,9 @@ def test_main_rejects_non_finite_increments(capsys, argv):
         "config-key-in-file",
         "unknown-key",
         "ghz-n-1",
+        "qrng-count-0",
+        "p0-nan-flag",
+        "p0-nan-file",
     ],
 )
 def test_main_error_lines(capsys, tmp_path, argv, file_text, line):

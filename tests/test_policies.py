@@ -35,11 +35,11 @@ class _Scripted:
 
 
 def _env(p1, p2):
-    return TwoArmBandit.from_probs(p1, p2)
+    return TwoArmBandit(p1, p2)
 
 
 def _pair_env(p1, p2, n=2):
-    return ReplicatedBandit(TwoArmBandit.from_probs(p1, p2), n)
+    return ReplicatedBandit(TwoArmBandit(p1, p2), n)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def test_uniforms_rejects_bad_counts(count):
     [
         (lambda k: RandomStream(k, stream=k), ("seed", "stream")),
         (lambda k: RandomStream(0).uniforms(k).tolist(), ()),
-        (lambda k: ReplicatedBandit(TwoArmBandit.from_probs(0.5, 0.5), k), ("n_users",)),
+        (lambda k: ReplicatedBandit(TwoArmBandit(0.5, 0.5), k), ("n_users",)),
         (lambda k: enumerate_ghz_step(0.5, 0.8, 0.2, k, GhzConstants((0.1, 0.05))), ()),
         (lambda k: GhzConstants((0.1, 0.05)).validate_for(k), ()),
         (

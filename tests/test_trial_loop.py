@@ -18,13 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qubit_bandit import cli, harness, oracle, policies
-from qubit_bandit.bandit import (
-    DriftModel,
-    ReplicatedBandit,
-    TwoArmBandit,
-    drift_step,
-    pull,
-)
+from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit, drift_step, pull
 from qubit_bandit.harness import ExperimentConfig, Scenario, run_experiment
 from qubit_bandit.policies import (
     GhzConstants,
@@ -40,8 +34,7 @@ from qubit_bandit.quantum import RandomStream
 
 def _reference_trial(config, rng):
     """One trial, round by round through the step functions."""
-    drift = DriftModel(config.drift_step) if config.drift_on() else None
-    env = TwoArmBandit.from_probs(config.p1, config.p2, drift)
+    env = TwoArmBandit(config.p1, config.p2, config.drift_step)
     records = []
     p0 = config.initial_p0
     for step in range(config.horizon):
@@ -212,9 +205,9 @@ def _counting(monkeypatch, module):
             counts["draws"] += count
             return super().uniforms(count)
 
-    def counting_pull(arm, rng):
+    def counting_pull(p_reward, rng):
         counts["pulls"] += 1
-        return pull(arm, rng)
+        return pull(p_reward, rng)
 
     monkeypatch.setattr(module, "RandomStream", CountingStream)
     monkeypatch.setattr(policies, "pull", counting_pull)
@@ -254,7 +247,7 @@ def test_asymptotic_report_matches_the_per_round_reference():
     # a small c keeps the state off the clamps, so every window state counts
     p1, p2, c, horizon, trials, seed = 0.6, 0.5, 0.02, 40, 6, 9
     report = oracle.asymptotic_claim_report(p1, p2, c, horizon=horizon, trials=trials, seed=seed)
-    env = TwoArmBandit.from_probs(p1, p2)
+    env = TwoArmBandit(p1, p2)
     window_steps = max(1, int(horizon * 0.2))
     mean_states, zero_rates = [], []
     for trial in range(trials):
