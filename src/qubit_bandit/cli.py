@@ -151,13 +151,15 @@ def _round12(value: float) -> float:
 
 
 def _build_parser() -> _Parser:
+    # no abbreviations: --c would read as --config where no c flag exists
     parser = _Parser(
         prog="qubit-bandit",
         description="Measurement-driven binary decisions on two-armed banks.",
+        allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
     for command, (help_text, flags, _) in _COMMANDS.items():
-        sub = subparsers.add_parser(command, help=help_text)
+        sub = subparsers.add_parser(command, help=help_text, allow_abbrev=False)
         for flag in (*flags, "config"):
             sub.add_argument(
                 "--" + flag.replace("_", "-"),
@@ -196,11 +198,9 @@ def _parse_file_value(key: str, raw: str):
 
 
 def _parse_constants(value: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"constants: expected comma-separated floats, got {value!r}")
+    # float() refuses an empty item, so "0.1,,0.05" and "0.1," are errors
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(float(p) for p in value.split(","))
     except ValueError as exc:
         raise ConfigError(f"constants: expected comma-separated floats, got {value!r}") from exc
 

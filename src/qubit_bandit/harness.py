@@ -3,9 +3,11 @@
 Each trial draws from its own stream derived from (root seed, trial index),
 so runs are reproducible bit for bit and trial execution order is irrelevant.
 A run derives all its trials' streams in bulk and hands each trial its
-stream's first block of draws. Every run has users playing machines: a
-qrng config validates, for the CLI's qrng subcommand, but the trial source
-refuses it, since quantum.sample_bits draws a source's bits.
+stream's first block of draws; _trials then plays each trial in the run's
+one round loop, by the rules the policies step functions apply one round
+at a time. Every run has users playing machines: a qrng config validates,
+for the CLI's qrng subcommand, but the trial source refuses it, since
+quantum.sample_bits draws a source's bits.
 """
 
 from __future__ import annotations
@@ -21,17 +23,20 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import bandit
+
 # bench/tracer.py wraps the per-round reference functions under these
 # harness names, so they stay importable here although the run path plays
-# every trial through play_trials instead
+# every trial in _trials' own loop instead
 from .bandit import drift_step  # noqa: F401
 from .policies import (  # noqa: F401
     coop_pair_step,
     ghz_step,
     single_agent_step,
 )
-from .policies import GhzConstants, StepRecord, _draws_per_round, _update_moves, play_trials
+from .policies import GhzConstants, StepRecord
 from .quantum import (
+    Direction,
     RandomStream,
     _check_count,
     _check_fraction,
@@ -166,8 +171,8 @@ class ExperimentConfig:
 class Trajectory(NamedTuple):
     """One trial: the run's machines and update table, then per-round columns.
 
-    The columns (states, bits, rewards, rewarded) are what play_trials
-    yields. Round t reads states[t] and leaves states[t + 1], measures
+    The columns (states, bits, rewards, rewarded) are what _trials' round
+    loop fills. Round t reads states[t] and leaves states[t + 1], measures
     bits[t], sends the users to machines[bits[t]], collects n rewards (0 or
     1, in user order) that sum to rewarded[t], and applies the update pair
     moves[bits[t]][rewarded[t]]. rewards is flat, n = len(machines[0])
@@ -257,7 +262,7 @@ class Metrics:
 
 
 def _trial_inputs(config: ExperimentConfig):
-    """What play_trials needs for this scenario: start p, machines per bit, constants.
+    """What _trials needs for this scenario: start p, machines per bit, constants.
 
     The machines per bit are the only statement of a scenario's players.
     """
@@ -272,29 +277,92 @@ def _trial_inputs(config: ExperimentConfig):
     return config.initial_p0, ((0,) * n, (1,) * n), constants
 
 
+def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
+    """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
+    after reading bit. The run path's only toward-zero decision."""
+    no_update = (None, 0.0)
+    return tuple(
+        tuple(
+            (
+                Direction.TOWARD_ZERO if (bit == 0) == (2 * r > n) else Direction.TOWARD_ONE,
+                float(constants[min(r, n - r)]),
+            )
+            if constants and 2 * r != n
+            else no_update
+            for r in range(n + 1)
+        )
+        for bit in (0, 1)
+    )
+
+
+def _draws_per_round(n: int, drift: float) -> int:
+    """The draw contract: the bit, one pull per user, and with drift one step
+    per machine."""
+    return 1 + n + (2 if drift > 0.0 else 0)
+
+
 def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[Trajectory]:
     """The trial source: the Trajectory of each trial of order, played when
     asked for. No other code builds a Trajectory.
 
     Each trial's stream gets its first block in bulk, sized by the draws
-    the trial makes. Nothing here keeps a trial once it is handed over, so
-    a consumer that drops each trial before asking for the next holds one
-    trial at a time.
+    the trial makes. A trial starts from the scenario's start p, with
+    machines 0 and 1 paying p1 and p2, and plays each round in
+    draw-contract order:
+
+    1. one draw measures p into the bit b;
+    2. each user, in order, pulls machines[b] (one draw each);
+    3. with r rewards out of n, p moves by moves[b][r]: constants[min(r, n - r)],
+       toward zero iff (b == 0) == (2r > n), clamped to [0, 1]; a tie
+       (2r == n) moves nothing, and empty constants never move p (the duo);
+    4. when drift > 0, each machine's reward probability takes a clamped
+       +/- drift step, machine 0 first (one draw each).
+
+    Single play is n = 1 and coop n = 2 with constants (c,); these are the
+    rules single_agent_step, coop_pair_step, ghz_step and drift_step apply
+    one round at a time. Each trial keeps its two machines' reward
+    probabilities in a two-item list: users index it by machine, and drift
+    walks it in place. bandit.pull is looked up when the first trial
+    starts. The loop lets go of a trial's columns before it plays the next
+    one, so a consumer that drops each trial before asking for the next
+    holds one trial at a time.
     """
     start, machines, constants = _trial_inputs(config)
     seed, drift, horizon = config.seed, config.drift_step, config.horizon
     n = len(machines[0])
     moves = _update_moves(n, constants)
     needed = horizon * _draws_per_round(n, drift)
-    streams = (
-        RandomStream(seed, trial, first)
-        for trial, first in zip(order, _first_blocks(seed, order, needed))
-    )
-    played = play_trials(start, machines, moves, (config.p1, config.p2), drift, horizon, streams)
-    # next() rather than zip: zip would hold the last trial's columns while
-    # the next trial is played
-    for trial in order:
-        yield Trajectory(trial, machines, moves, *next(played))
+    drifting = (0, 1) if drift > 0.0 else ()
+    toward_zero = Direction.TOWARD_ZERO
+    draw = bandit.pull
+    for trial, first in zip(order, _first_blocks(seed, order, needed)):
+        rng = RandomStream(seed, trial, first)
+        uniform = rng.uniform
+        probs = [config.p1, config.p2]
+        p = start
+        states = [p]
+        bits: list[int] = []
+        rewards: list[int] = []
+        rewarded: list[int] = []
+        for _ in range(horizon):
+            bit = 0 if uniform() < p else 1
+            r = 0
+            for machine in machines[bit]:
+                reward = draw(probs[machine], rng)
+                rewards.append(reward)
+                r += reward
+            direction, magnitude = moves[bit][r]
+            if direction is toward_zero:
+                p = min(p + magnitude, 1.0)
+            elif direction is not None:
+                p = max(p - magnitude, 0.0)
+            for machine in drifting:
+                step = drift if uniform() < 0.5 else -drift
+                probs[machine] = min(max(probs[machine] + step, 0.0), 1.0)
+            states.append(p)
+            bits.append(bit)
+            rewarded.append(r)
+        yield Trajectory(trial, machines, moves, states, bits, rewards, rewarded)
 
 
 class _Summary:

@@ -6,16 +6,14 @@ cooperative update for two users on replicated pairs, and a majority-vote
 update for n users on a shared GHZ register. Single and cooperative play
 are the one- and two-user cases of the majority round. The step functions
 play one round each: state in, (new state, record) out, randomness only
-through the given stream. play_trials runs the same rules for every trial
-of a run, of any scenario where users play machines, and yields each
-trial's per-round columns; it is what the harness runs, and the step
-functions are its per-round reference.
+through the given stream. They are the per-round reference: the harness
+plays every trial of a run by the same rules in its own loop, and the
+tests compare the two routes draw for draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .bandit import ReplicatedBandit, TwoArmBandit, pull
 from .quantum import (
@@ -41,7 +39,6 @@ __all__ = [
     "coop_pair_step",
     "majority_update_rule",
     "ghz_step",
-    "play_trials",
 ]
 
 
@@ -229,97 +226,3 @@ def ghz_step(
     n = env.n_users
     constants.validate_for(n)
     return _majority_round(p0, env.template, n, constants.constants, rng, step)
-
-
-def _update_moves(n: int, constants: tuple[float, ...]) -> tuple[tuple, tuple]:
-    """moves[bit][r]: the (direction, magnitude) update for r rewards out of n
-    after reading bit. The run path's only toward-zero decision."""
-    no_update = (None, 0.0)
-    return tuple(
-        tuple(
-            (
-                Direction.TOWARD_ZERO if (bit == 0) == (2 * r > n) else Direction.TOWARD_ONE,
-                float(constants[min(r, n - r)]),
-            )
-            if constants and 2 * r != n
-            else no_update
-            for r in range(n + 1)
-        )
-        for bit in (0, 1)
-    )
-
-
-def _draws_per_round(n: int, drift: float) -> int:
-    """The draw contract: the bit, one pull per user, and with drift one step
-    per machine."""
-    return 1 + n + (2 if drift > 0.0 else 0)
-
-
-def play_trials(
-    p: float,
-    machines: tuple[tuple[int, ...], tuple[int, ...]],
-    moves: tuple[tuple, tuple],
-    arms: tuple[float, float],
-    drift: float,
-    horizon: int,
-    streams: Iterable[RandomStream],
-) -> Iterator[tuple[list[float], list[int], list[int], list[int]]]:
-    """Play one trial of any scenario per stream, in turn, each from start p;
-    yield each as per-round columns.
-
-    machines[b] names the machine each user plays when the measurement reads
-    b: (b,) * n for n learners, (b, 1 - b) for the duo. moves is the run's
-    update table, _update_moves(n, constants). arms holds the reward
-    probabilities of machines 0 and 1, where every trial starts. Each round,
-    in draw-contract order:
-
-    1. one draw measures p into the bit b;
-    2. each user, in order, pulls machines[b] (one draw each);
-    3. with r rewards out of n, p moves by moves[b][r]: constants[min(r, n - r)],
-       toward zero iff (b == 0) == (2r > n), clamped to [0, 1]; a tie
-       (2r == n) moves nothing, and empty constants never move p (the duo);
-    4. when drift > 0, each machine's reward probability takes a clamped
-       +/- drift step, machine 0 first (one draw each).
-
-    Single play is n = 1 and coop n = 2 with constants (c,); these are the
-    rules single_agent_step, coop_pair_step, ghz_step and drift_step apply
-    one round at a time. Inputs are not validated here; callers check them
-    once per run. Each trial keeps its two machines' reward probabilities in
-    a two-item list: users index it by machine, and drift walks it in place.
-    pull is looked up when the first trial starts.
-
-    Each item is a trial's columns (states, bits, rewards, rewarded), laid
-    out as harness.Trajectory's docstring states. The generator lets go of
-    a trial's columns before it plays the next one.
-    """
-    drifting = (0, 1) if drift > 0.0 else ()
-    toward_zero = Direction.TOWARD_ZERO
-    draw = pull
-    start = p
-    for rng in streams:
-        probs = list(arms)
-        uniform = rng.uniform
-        p = start
-        states = [p]
-        bits: list[int] = []
-        rewards: list[int] = []
-        rewarded: list[int] = []
-        for _ in range(horizon):
-            bit = 0 if uniform() < p else 1
-            r = 0
-            for machine in machines[bit]:
-                reward = draw(probs[machine], rng)
-                rewards.append(reward)
-                r += reward
-            direction, magnitude = moves[bit][r]
-            if direction is toward_zero:
-                p = min(p + magnitude, 1.0)
-            elif direction is not None:
-                p = max(p - magnitude, 0.0)
-            for machine in drifting:
-                step = drift if uniform() < 0.5 else -drift
-                probs[machine] = min(max(probs[machine] + step, 0.0), 1.0)
-            states.append(p)
-            bits.append(bit)
-            rewarded.append(r)
-        yield states, bits, rewards, rewarded

@@ -301,6 +301,30 @@ def test_main_rejects_non_finite_increments(capsys, argv):
         (["qrng", "--count", "0"], None, "count: must be an integer >= 1, got 0"),
         (["single", "--c", "0.1", "--p0", "nan"], None, "p0: must be in [0, 1], got nan"),
         (["single", "--c", "0.1"], "p0=nan\n", "p0: must be in [0, 1], got nan"),
+        # no flag is matched by a prefix: duo-conflict has no c flag, so --c
+        # must not read as --config
+        (
+            ["duo-conflict", "--c", "0.1", "--horizon", "2"],
+            None,
+            "unrecognized arguments: --c 0.1",
+        ),
+        (
+            ["single", "--c", "0.1", "--hor", "2", "--dri", "0.1", "--se", "3"],
+            None,
+            "unrecognized arguments: --hor 2 --dri 0.1 --se 3",
+        ),
+        (["qrng", "--p", "0.3"], None, "unrecognized arguments: --p 0.3"),
+        # an empty item is refused, not dropped
+        (
+            ["ghz", "--n", "3", "--constants", "0.1,,0.05"],
+            None,
+            "constants: expected comma-separated floats, got '0.1,,0.05'",
+        ),
+        (
+            ["ghz", "--n", "3"],
+            "constants=0.1,0.05,\n",
+            "constants: expected comma-separated floats, got '0.1,0.05,'",
+        ),
     ],
     ids=[
         "qrng-missing-count",
@@ -319,6 +343,11 @@ def test_main_rejects_non_finite_increments(capsys, argv):
         "qrng-count-0",
         "p0-nan-flag",
         "p0-nan-file",
+        "abbreviated-flag-on-duo",
+        "abbreviated-flags-on-single",
+        "abbreviated-flag-on-qrng",
+        "empty-constant-flag",
+        "empty-constant-file",
     ],
 )
 def test_main_error_lines(capsys, tmp_path, argv, file_text, line):

@@ -1,10 +1,10 @@
 """The trial loop against the per-round reference, and the draw contract.
 
-run_experiment plays every trial of every scenario through one
-policies.play_trials loop per run. Here the same seeded streams are
-replayed through the step functions one round at a time, with a fresh
-environment and drift_step after every round, and the records and metrics
-of both routes must agree exactly. The draw and pull counts of every
+run_experiment plays every trial of every scenario through one loop,
+harness._trials. Here the same seeded streams are replayed through the
+step functions one round at a time, with a fresh environment and
+drift_step after every round, and the records and metrics of both routes
+must agree exactly. The draw and pull counts of every
 scenario are checked against the contract: per round, single 2 draws, coop
 3, GHZ n + 1, duo 3, plus 2 with drift on.
 """
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubit_bandit import cli, harness, oracle, policies
+from qubit_bandit import bandit, cli, harness, oracle
 from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit, drift_step, pull
 from qubit_bandit.harness import ExperimentConfig, Scenario, run_experiment
 from qubit_bandit.policies import (
@@ -210,7 +210,7 @@ def _counting(monkeypatch, module):
         return pull(p_reward, rng)
 
     monkeypatch.setattr(module, "RandomStream", CountingStream)
-    monkeypatch.setattr(policies, "pull", counting_pull)
+    monkeypatch.setattr(bandit, "pull", counting_pull)
     return counts
 
 
