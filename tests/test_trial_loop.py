@@ -4,9 +4,9 @@ run_experiment plays every trial of every scenario through one loop,
 harness._trials. Here the same seeded streams are replayed through the
 step functions one round at a time, with a fresh environment and
 drift_step after every round, and the records and metrics of both routes
-must agree exactly. The draw and pull counts of every
-scenario are checked against the contract: per round, single 2 draws, coop
-3, GHZ n + 1, duo 3, plus 2 with drift on.
+must agree exactly. The draw and pull counts of every scenario are checked
+against the contract: per round, single 2 draws, coop 3, GHZ n + 1, duo 3,
+plus 2 with drift on.
 """
 
 import json
