@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quantum import RandomStream, _check_count, _check_probability
+from .quantum import RandomStream, _check_count, _check_probability, _is_number
 
 __all__ = ["TwoArmBandit", "ReplicatedBandit", "pull", "drift_step"]
 
@@ -30,10 +30,12 @@ class TwoArmBandit:
 
     def arm(self, index: int) -> float:
         """Machine index's reward probability."""
-        if index == 0:
-            return self.p1
-        if index == 1:
-            return self.p2
+        # an exact int skips the slower check, which refuses bools and floats
+        if type(index) is int or _is_number(index, integer=True):
+            if index == 0:
+                return self.p1
+            if index == 1:
+                return self.p2
         raise ValueError(f"machine index must be 0 or 1, got {index!r}")
 
 

@@ -186,6 +186,8 @@ def _load_config_file(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in _FLAGS or key == "config":
             raise ConfigError(f"config: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"config: line {lineno}: duplicate key '{key}'")
         values[key] = value.strip()
     return values
 

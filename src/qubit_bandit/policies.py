@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 from .bandit import ReplicatedBandit, TwoArmBandit, pull
 from .quantum import (
-    Correlation,
     Direction,
-    EntangledPair,
     RandomStream,
     _TOWARD_ONE,
     _TOWARD_ZERO,
     _check_count,
     _check_fraction,
-    measure_pair,
+    _check_probability,
     sample_bit,
     shift_probability,
 )
@@ -162,11 +160,14 @@ def single_agent_step(
 def duo_conflict_assign(rng: RandomStream, p_first: float = 0.5) -> tuple[int, int]:
     """Assign two users to distinct machines from one anticorrelated pair.
 
-    Returns (machine for user U, machine for user V); the bits are always
-    complementary, so the users never collide. p_first biases U toward
-    machine 0 and is exposed for study; the fair default is 0.5. One draw.
+    The pair sqrt(p_first)|01> + sqrt(1 - p_first)|10> is the weight
+    p_first in [0, 1] of its first branch; the fair default is 0.5. One
+    draw reads it: below p_first, U takes machine 0 and V machine 1, else
+    the reverse. Returns (machine for U, machine for V), always distinct,
+    so the users never collide.
     """
-    return measure_pair(EntangledPair(Correlation.ANTICORRELATED, p_first), rng)
+    p_first = _check_probability("p_first", p_first)
+    return (0, 1) if rng.uniform() < p_first else (1, 0)
 
 
 def coop_pair_step(

@@ -2,8 +2,9 @@
 
 Every state here is fully described by one branch probability. A lone
 qubit, and a GHZ register whose parties all read the same bit, is its
-chance p0 of reading 0, measured with sample_bit; an entangled pair is the
-weight of its first branch. Amplitudes are real and non-negative, so
+chance p0 of reading 0, measured with sample_bit. The duo's anticorrelated
+pair is the weight of its first branch, read by one draw in
+policies.duo_conflict_assign. Amplitudes are real and non-negative, so
 storing the probability directly keeps normalization exact by construction.
 Measurement never mutates a state; callers re-prepare (or reuse) states
 explicitly.
@@ -23,17 +24,13 @@ from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Correlation",
     "Direction",
-    "EntangledPair",
     "RandomStream",
-    "measure_pair",
     "sample_bit",
     "sample_bits",
     "shift_probability",
@@ -69,9 +66,9 @@ def _is_number(value, integer: bool = False) -> bool:
 
     Python and numpy numbers both qualify; True would otherwise pass as 1.
     """
-    # exact Python types first: the ABC check is slow, and every stream runs this
-    kind = type(value)
-    if kind is int or (kind is float and not integer):
+    # exact ints and floats (numpy float64 included) first: the ABC check is
+    # slow, and every stream runs this
+    if type(value) is int or (not integer and isinstance(value, float)):
         return True
     kind = numbers.Integral if integer else numbers.Real
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -106,13 +103,6 @@ def _check_seed(seed: int, name: str = "seed") -> int:
     return int(seed)
 
 
-class Correlation(Enum):
-    """Branch structure of a two-qubit state: equal bits or opposite bits."""
-
-    CORRELATED = "correlated"  # sqrt(p)|00> + sqrt(1-p)|11>
-    ANTICORRELATED = "anticorrelated"  # sqrt(p)|01> + sqrt(1-p)|10>
-
-
 class Direction(Enum):
     """Which basis outcome a probability shift favors."""
 
@@ -124,23 +114,6 @@ class Direction(Enum):
 # primitive compares against these
 _TOWARD_ZERO = Direction.TOWARD_ZERO
 _TOWARD_ONE = Direction.TOWARD_ONE
-
-
-@dataclass(frozen=True)
-class EntangledPair:
-    """Two qubits restricted to two branches.
-
-    Correlated pairs read (0, 0) with probability p_first and (1, 1)
-    otherwise; anticorrelated pairs read (0, 1) and (1, 0).
-    """
-
-    correlation: Correlation
-    p_first: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.correlation, Correlation):
-            raise ValueError(f"correlation must be a Correlation, got {self.correlation!r}")
-        object.__setattr__(self, "p_first", _check_probability("p_first", self.p_first))
 
 
 def _multipliers(start: int, factor: int, count: int) -> np.ndarray:
@@ -381,9 +354,10 @@ class RandomStream:
 
 def sample_bit(p_zero: float, rng: RandomStream) -> int:
     """Draw one bit that reads 0 with probability p_zero. Consumes one draw."""
-    # a float (numpy float64 included) skips the slower check, which rejects bools
-    if not (isinstance(p_zero, float) or _is_number(p_zero)) or not 0.0 <= p_zero <= 1.0:
-        raise ValueError(f"p_zero must be in [0, 1], got {p_zero!r}")
+    # an exact float in range skips the full check, which rejects bools and
+    # returns any other number (numpy's included) as a Python float
+    if type(p_zero) is not float or not 0.0 <= p_zero <= 1.0:
+        p_zero = _check_probability("p_zero", p_zero)
     return 0 if rng.uniform() < p_zero else 1
 
 
@@ -393,25 +367,18 @@ def sample_bits(p_zero: float, count: int, rng: RandomStream) -> np.ndarray:
     return (rng.uniforms(count) >= p_zero).astype(np.uint8)
 
 
-def measure_pair(state: EntangledPair, rng: RandomStream) -> tuple[int, int]:
-    """Read both halves of a pair jointly. One draw selects the branch."""
-    first = rng.uniform() < state.p_first
-    if state.correlation is Correlation.CORRELATED:
-        return (0, 0) if first else (1, 1)
-    return (0, 1) if first else (1, 0)
-
-
 def shift_probability(p0: float, direction: Direction, c: float) -> float:
     """Move p0 by c toward the given outcome, clamped to [0, 1].
 
     This is the single update primitive every decision policy uses; c must
-    be in (0, 1]. Every reference round calls it, so it checks inline.
+    be in (0, 1]. Every reference round calls it, so exact floats in range
+    skip the full check; any other number (numpy's included) is checked and
+    taken as a Python float, so the result is one too.
     """
-    # a float (numpy float64 included) skips the slower check, which rejects bools
-    if not (isinstance(c, float) or _is_number(c)) or not 0.0 < c <= 1.0:
-        raise ValueError(f"c must be in (0, 1], got {c!r}")
-    if not (isinstance(p0, float) or _is_number(p0)) or not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0 must be in [0, 1], got {p0!r}")
+    if type(c) is not float or not 0.0 < c <= 1.0:
+        c = _check_fraction("c", c)
+    if type(p0) is not float or not 0.0 <= p0 <= 1.0:
+        p0 = _check_probability("p0", p0)
     if direction is _TOWARD_ZERO:
         return min(p0 + c, 1.0)
     if direction is _TOWARD_ONE:

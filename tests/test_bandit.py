@@ -64,9 +64,12 @@ def test_bank_assigns_machines_in_order():
 
 
 def test_arm_lookup_rejects_other_indices():
-    env = TwoArmBandit(0.5, 0.5)
-    with pytest.raises(ValueError):
-        env.arm(2)
+    env = TwoArmBandit(0.8, 0.2)
+    # bools and floats are not machine indexes, though they compare equal to one
+    for index in (2, -1, True, False, 1.0, 0.0, np.True_):
+        with pytest.raises(ValueError, match="^machine index must be 0 or 1, got "):
+            env.arm(index)
+    assert (env.arm(np.int64(0)), env.arm(np.int64(1))) == (0.8, 0.2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2.0])

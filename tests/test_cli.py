@@ -325,6 +325,13 @@ def test_main_rejects_non_finite_increments(capsys, argv):
             "constants=0.1,0.05,\n",
             "constants: expected comma-separated floats, got '0.1,0.05,'",
         ),
+        # a key may appear once, whichever spelling it takes
+        (["single"], "c=0.1\nc=0.2\n", "config: line 2: duplicate key 'c'"),
+        (
+            ["single", "--c", "0.1"],
+            "drift-step=0.1\n\ndrift_step=0.2\n",
+            "config: line 3: duplicate key 'drift_step'",
+        ),
     ],
     ids=[
         "qrng-missing-count",
@@ -348,6 +355,8 @@ def test_main_rejects_non_finite_increments(capsys, argv):
         "abbreviated-flag-on-qrng",
         "empty-constant-flag",
         "empty-constant-file",
+        "duplicate-key",
+        "duplicate-key-both-spellings",
     ],
 )
 def test_main_error_lines(capsys, tmp_path, argv, file_text, line):

@@ -180,6 +180,12 @@ def test_duo_conflict_assign_branches_on_the_single_draw():
     assert duo_conflict_assign(_Scripted([0.7])) == (1, 0)
 
 
+@pytest.mark.parametrize("bad", [-0.5, 2.0, float("nan"), float("inf"), True])
+def test_duo_conflict_assign_rejects_invalid_p_first(bad):
+    with pytest.raises(ValueError, match="^p_first must be in"):
+        duo_conflict_assign(RandomStream(0), bad)
+
+
 def test_duo_conflict_assign_first_user_bias():
     rng = RandomStream(8)
     n = 40_000

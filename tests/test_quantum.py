@@ -10,13 +10,10 @@ from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
 from qubit_bandit.oracle import asymptotic_claim_report, enumerate_ghz_step
 from qubit_bandit.policies import GhzConstants
 from qubit_bandit.quantum import (
-    Correlation,
     Direction,
-    EntangledPair,
     RandomStream,
     _first_blocks,
     _stream_words,
-    measure_pair,
     sample_bit,
     sample_bits,
     shift_probability,
@@ -24,16 +21,6 @@ from qubit_bandit.quantum import (
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 magnitudes = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False)
-
-
-# ---------------------------------------------------------------------------
-# state containers
-
-
-@pytest.mark.parametrize("bad", [-0.5, 2.0, float("nan"), float("inf"), True])
-def test_entangled_pair_rejects_invalid_probability(bad):
-    with pytest.raises(ValueError):
-        EntangledPair(Correlation.CORRELATED, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -263,39 +250,6 @@ def test_sample_bit_consumes_one_draw():
     assert a.uniform() == b.uniform()
 
 
-def test_correlated_pair_always_agrees():
-    rng = RandomStream(5)
-    pair = EntangledPair(Correlation.CORRELATED, 0.5)
-    for _ in range(1000):
-        first, second = measure_pair(pair, rng)
-        assert first == second
-
-
-def test_anticorrelated_pair_always_disagrees():
-    rng = RandomStream(5)
-    pair = EntangledPair(Correlation.ANTICORRELATED, 0.5)
-    for _ in range(1000):
-        first, second = measure_pair(pair, rng)
-        assert first != second
-
-
-def test_pair_first_bit_marginal_tracks_p_first():
-    rng = RandomStream(17)
-    pair = EntangledPair(Correlation.ANTICORRELATED, 0.25)
-    n = 40_000
-    zeros = sum(measure_pair(pair, rng)[0] == 0 for _ in range(n))
-    assert abs(zeros / n - 0.25) < 0.011
-
-
-def test_measure_pair_consumes_exactly_one_draw():
-    pair = EntangledPair(Correlation.CORRELATED, 0.5)
-    a = RandomStream(21)
-    b = RandomStream(21)
-    measure_pair(pair, a)
-    b.uniform()
-    assert a.uniform() == b.uniform()
-
-
 # ---------------------------------------------------------------------------
 # amplitude shifts
 
@@ -325,6 +279,24 @@ def test_shift_probability_rejects_non_positive_magnitude(c):
 def test_shift_probability_rejects_out_of_range_state(p0):
     with pytest.raises(ValueError):
         shift_probability(p0, Direction.TOWARD_ONE, 0.1)
+
+
+@pytest.mark.parametrize(
+    "p0,c",
+    [
+        (np.float32(0.5), 0.1),
+        (0.5, np.float32(0.1)),
+        (np.float64(0.5), np.float64(0.1)),
+        (np.float32(0.95), np.float32(0.1)),
+    ],
+    ids=["float32-p0", "float32-c", "float64-both", "float32-both-clamped"],
+)
+def test_shift_probability_steps_numpy_numbers_as_python_floats(p0, c):
+    up = shift_probability(p0, Direction.TOWARD_ZERO, c)
+    down = shift_probability(p0, Direction.TOWARD_ONE, c)
+    assert type(up) is float and type(down) is float
+    assert up == min(float(p0) + float(c), 1.0)
+    assert down == max(float(p0) - float(c), 0.0)
 
 
 @given(p0=probabilities, c=magnitudes)
