@@ -352,8 +352,8 @@ def _slices(rows):
 
 class _CsvText:
     """One run's CSV text in three parts: head(build_recordset's dict), then
-    rows(trajectory) for each trial in order, then tail(). Number texts are
-    kept for the run."""
+    rows(trajectory) for each block of each trial in order, then tail().
+    Number texts are kept for the run."""
 
     def __init__(self) -> None:
         # f"{x:.12g}" is the text _meta_str gives _round12(x): 12 digits round-trip
@@ -450,9 +450,10 @@ _TEXTS = {"csv": _CsvText, "json": _JsonText}
 def emit(config: ExperimentConfig, fmt: str, handle: IO[str], spill_dir: Path | None = None) -> None:
     """Play a learning run and write it to handle as csv or json.
 
-    One trial is held at a time. Each trial's rows are formatted, in
-    slices of at most _ROWS_PER_WRITE, as soon as it is played, and staged
-    in an unnamed temporary file in spill_dir (None: the system's temp
+    One block of a trial, at most _BLOCK_CAP rounds as _trials hands it
+    over, is held at a time. Each block's rows are formatted, in slices of
+    at most _ROWS_PER_WRITE, as soon as it is played, and staged in an
+    unnamed temporary file in spill_dir (None: the system's temp
     directory), since the head needs every trial's metrics first. Then the
     head, the staged rows and the tail go to handle. A bad format or config
     raises before anything is written.
@@ -463,10 +464,10 @@ def emit(config: ExperimentConfig, fmt: str, handle: IO[str], spill_dir: Path | 
     text = _TEXTS[fmt]()
     summary = _Summary(config)
     with tempfile.TemporaryFile("w+", dir=spill_dir) as staged:
-        for trajectory in _trials(config, range(config.trials)):
-            summary.add(trajectory)
-            staged.writelines(text.rows(trajectory))
-            del trajectory  # released before the next trial is played
+        for block in _trials(config, range(config.trials)):
+            summary.add(block)
+            staged.writelines(text.rows(block))
+            del block  # released before the next block is played
         handle.write(text.head(build_recordset(config, summary.metrics())))
         staged.seek(0)
         shutil.copyfileobj(staged, handle)

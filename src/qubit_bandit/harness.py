@@ -5,8 +5,9 @@ so runs are reproducible bit for bit and trial execution order is irrelevant.
 A run derives all its trials' streams in bulk and hands each trial its
 stream's first block of draws; _trials then plays each trial in the run's
 one round loop, by the rules the policies step functions apply one round
-at a time. Every run has users playing machines: a qrng config validates,
-for the CLI's qrng subcommand, but the trial source refuses it, since
+at a time, and hands it over in blocks of at most _BLOCK_CAP rounds. Every
+run has users playing machines: a qrng config validates, for the CLI's
+qrng subcommand, but the trial source refuses it, since
 quantum.sample_bits draws a source's bits.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Mapping, Set
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -41,6 +43,7 @@ from .quantum import (
     _check_count,
     _check_fraction,
     _check_probability,
+    _BLOCK_CAP,
     _check_seed,
     _is_number,
     _first_blocks,
@@ -140,7 +143,10 @@ class ExperimentConfig:
                 _check_probability(name, getattr(self, name))
         for name in ("horizon", "trials"):
             with _naming(name):
-                _check_count(name, getattr(self, name), 1)
+                count = _check_count(name, getattr(self, name), 1)
+            # a run indexes its rounds and trials, and Python indexes below sys.maxsize
+            if count > sys.maxsize:
+                raise ConfigError(f"{name}: must be at most {sys.maxsize}, got {count}")
         with _naming("seed"):
             _check_seed(self.seed)
         with _naming("drift_step"):
@@ -169,15 +175,17 @@ class ExperimentConfig:
 
 
 class Trajectory(NamedTuple):
-    """One trial: the run's machines and update table, then per-round columns.
+    """Consecutive rounds of one trial, from round start on: the run's
+    machines and update table, then per-round columns.
 
     The columns (states, bits, rewards, rewarded) are what _trials' round
-    loop fills. Round t reads states[t] and leaves states[t + 1], measures
-    bits[t], sends the users to machines[bits[t]], collects n rewards (0 or
-    1, in user order) that sum to rewarded[t], and applies the update pair
-    moves[bits[t]][rewarded[t]]. rewards is flat, n = len(machines[0])
-    entries a round, so round t's rewards are rewards[n * t : n * (t + 1)];
-    rounds() and records regroup them.
+    loop fills; column index t is round start + t. Round t reads states[t]
+    and leaves states[t + 1], measures bits[t], sends the users to
+    machines[bits[t]], collects n rewards (0 or 1, in user order) that sum
+    to rewarded[t], and applies the update pair moves[bits[t]][rewarded[t]].
+    rewards is flat, n = len(machines[0]) entries a round, so round t's
+    rewards are rewards[n * t : n * (t + 1)]; rounds() and records regroup
+    them. _trials hands a trial over as blocks; a whole trial has start 0.
     """
 
     trial: int
@@ -187,6 +195,7 @@ class Trajectory(NamedTuple):
     bits: list[int]
     rewards: list[int]
     rewarded: list[int]
+    start: int = 0
 
     def rounds(self) -> Iterator[tuple[int, float, float, int, tuple[int, ...], int]]:
         """Per round, lazily: (step, p0 before, p0 after, measured bit,
@@ -195,7 +204,7 @@ class Trajectory(NamedTuple):
         n = len(self.machines[0])
         # n consumers of one iterator regroup the flat column into n-tuples
         grouped = zip(*[iter(self.rewards)] * n)
-        steps = range(len(self.bits))
+        steps = range(self.start, self.start + len(self.bits))
         return zip(steps, states, islice(states, 1, None), self.bits, grouped, self.rewarded)
 
     @property
@@ -302,8 +311,9 @@ def _draws_per_round(n: int, drift: float) -> int:
 
 
 def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[Trajectory]:
-    """The trial source: the Trajectory of each trial of order, played when
-    asked for. No other code builds a Trajectory.
+    """The trial source: each trial of order, played when asked for, as
+    consecutive Trajectory blocks of at most _BLOCK_CAP rounds. No other
+    code builds a Trajectory.
 
     Each trial's stream gets its first block in bulk, sized by the draws
     the trial makes. A trial starts from the scenario's start p, with
@@ -323,11 +333,11 @@ def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[Trajecto
     one round at a time. Each trial keeps its two machines' reward
     probabilities in a two-item list: users index it by machine, and drift
     walks it in place. bandit.pull is looked up when the first trial
-    starts. The loop lets go of a trial's columns before it plays the next
-    one, so a consumer that drops each trial before asking for the next
-    holds one trial at a time.
+    starts. The loop lets go of a block's columns before it plays the next
+    one, so a consumer that drops each block before asking for the next
+    holds one block at a time; a trial's blocks come in round order.
     """
-    start, machines, constants = _trial_inputs(config)
+    initial, machines, constants = _trial_inputs(config)
     seed, drift, horizon = config.seed, config.drift_step, config.horizon
     n = len(machines[0])
     moves = _update_moves(n, constants)
@@ -335,45 +345,50 @@ def _trials(config: ExperimentConfig, order: Sequence[int]) -> Iterator[Trajecto
     drifting = (0, 1) if drift > 0.0 else ()
     toward_zero = Direction.TOWARD_ZERO
     draw = bandit.pull
+    # each block's rounds, the same for every trial
+    blocks = [range(s, min(s + _BLOCK_CAP, horizon)) for s in range(0, horizon, _BLOCK_CAP)]
     for trial, first in zip(order, _first_blocks(seed, order, needed)):
         rng = RandomStream(seed, trial, first)
         uniform = rng.uniform
         probs = [config.p1, config.p2]
-        p = start
-        states = [p]
-        bits: list[int] = []
-        rewards: list[int] = []
-        rewarded: list[int] = []
-        for _ in range(horizon):
-            bit = 0 if uniform() < p else 1
-            r = 0
-            for machine in machines[bit]:
-                reward = draw(probs[machine], rng)
-                rewards.append(reward)
-                r += reward
-            direction, magnitude = moves[bit][r]
-            if direction is toward_zero:
-                p = min(p + magnitude, 1.0)
-            elif direction is not None:
-                p = max(p - magnitude, 0.0)
-            for machine in drifting:
-                step = drift if uniform() < 0.5 else -drift
-                probs[machine] = min(max(probs[machine] + step, 0.0), 1.0)
-            states.append(p)
-            bits.append(bit)
-            rewarded.append(r)
-        yield Trajectory(trial, machines, moves, states, bits, rewards, rewarded)
+        p = initial
+        for rounds in blocks:
+            states = [p]
+            bits: list[int] = []
+            rewards: list[int] = []
+            rewarded: list[int] = []
+            for _ in rounds:
+                bit = 0 if uniform() < p else 1
+                r = 0
+                for machine in machines[bit]:
+                    reward = draw(probs[machine], rng)
+                    rewards.append(reward)
+                    r += reward
+                direction, magnitude = moves[bit][r]
+                if direction is toward_zero:
+                    p = min(p + magnitude, 1.0)
+                elif direction is not None:
+                    p = max(p - magnitude, 0.0)
+                for machine in drifting:
+                    step = drift if uniform() < 0.5 else -drift
+                    probs[machine] = min(max(probs[machine] + step, 0.0), 1.0)
+                states.append(p)
+                bits.append(bit)
+                rewarded.append(r)
+            yield Trajectory(trial, machines, moves, states, bits, rewards, rewarded, rounds.start)
 
 
 class _Summary:
-    """The summariser: folds trials, handed over in any order, into their
+    """The summariser: folds _trials' blocks, trials in any order, into
     TrialMetrics, the mean reward curve and the run's Metrics.
 
-    The curve is kept as each round's reward count summed over trials, in
-    exact integers, so the order trials arrive in cannot change it and
-    memory stays bounded by one trial. metrics() divides each count once by
-    users × trials, both exact as float64, so mean_step_reward is the
-    correctly rounded mean of exact reward counts.
+    A trial's reward total, window zeros and conflicts are carried across
+    its blocks, and its TrialMetrics written at its last. The curve is kept
+    as each round's reward count summed over trials, in exact integers, so
+    the order trials arrive in cannot change it, and memory holds the curve
+    and one block. metrics() divides each count once by users × trials,
+    both exact as float64, so mean_step_reward is the correctly rounded
+    mean of exact reward counts.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
@@ -387,6 +402,7 @@ class _Summary:
         # users on the best machine when the measurement reads 0, and when it reads 1
         self.best_users = (machines[0].count(best_arm), machines[1].count(best_arm))
         self.window_steps = max(1, int(config.horizon * config.window))
+        self.window_start = config.horizon - self.window_steps
         # bits whose users collide; only the duo's users share one machine pair
         self.colliding = []
         if config.scenario is Scenario.DUO_CONFLICT:
@@ -394,24 +410,43 @@ class _Summary:
         self.per_trial: list[TrialMetrics | None] = [None] * config.trials
         # per round, the reward count summed over the trials added so far
         self.counts = [0] * config.horizon
+        # the reward total, window zeros and conflicts of the trial's blocks so far
+        self.held = (0, 0, 0)
 
-    def add(self, trajectory: Trajectory) -> None:
-        """Summarise one trial; add its per-round reward counts to the curve's."""
-        trial, bits, rewarded = trajectory.trial, trajectory.bits, trajectory.rewarded
+    def add(self, block: Trajectory) -> None:
+        """Fold one block: add its per-round reward counts to the curve's at
+        its rounds, and summarise its trial at the trial's last block."""
+        start, bits, rewarded = block.start, block.bits, block.rewarded
+        stop, horizon = start + len(bits), self.horizon
+        if stop - start == horizon:  # the whole trial: a new curve costs less than a slice
+            self.counts = list(map(operator.add, self.counts, rewarded))
+        else:
+            counts = self.counts
+            counts[start:stop] = map(operator.add, counts[start:stop], rewarded)
         total_reward = sum(rewarded)
+        # the window's rounds in this block: its last stop - window_start, if any
+        window_start = self.window_start
+        zeros = bits[window_start - stop :].count(0) if stop > window_start else 0
+        conflicts = sum(map(bits.count, self.colliding))
+        if start:  # a later block: add what the trial's earlier blocks held
+            held_reward, held_zeros, held_conflicts = self.held
+            total_reward += held_reward
+            zeros += held_zeros
+            conflicts += held_conflicts
+        if stop < horizon:
+            self.held = total_reward, zeros, conflicts
+            return
         regret: float | None = None
         best_fraction: float | None = None
         if self.scored:
             n_users, window_steps, best_users = self.n_users, self.window_steps, self.best_users
-            regret = self.best_p * self.horizon - total_reward / n_users
-            zeros = bits[-window_steps:].count(0)
+            regret = self.best_p * horizon - total_reward / n_users
             hits = zeros * best_users[0] + (window_steps - zeros) * best_users[1]
             best_fraction = hits / (window_steps * n_users)
-        conflicts = sum(map(bits.count, self.colliding))
+        trial = block.trial
         self.per_trial[trial] = TrialMetrics(
-            trial, total_reward, regret, conflicts, trajectory.states[-1], best_fraction
+            trial, total_reward, regret, conflicts, block.states[-1], best_fraction
         )
-        self.counts = list(map(operator.add, self.counts, rewarded))
 
     def metrics(self) -> Metrics:
         """The run's Metrics, once every trial has been added."""
@@ -443,9 +478,11 @@ def run_experiment(
 ) -> tuple[tuple[Trajectory, ...], Metrics]:
     """Run all trials of a configured experiment.
 
-    Returns (trajectories, metrics); trajectories is empty when
-    record_trajectories is off, which keeps long runs cheap while metrics
-    stay identical. trial_order only permutes execution, never results.
+    Returns (trajectories, metrics): one whole trial (start 0) per trial
+    index, joined from _trials' blocks. trajectories is empty when
+    record_trajectories is off, which holds one block at a time while
+    metrics stay identical. trial_order only permutes execution, never
+    results.
     """
     config.validate()
     n_trials = config.trials
@@ -458,11 +495,18 @@ def run_experiment(
 
     summary = _Summary(config)
     trajectories: list[Trajectory | None] = [None] * n_trials
-    for trajectory in _trials(config, order):
-        summary.add(trajectory)
-        if record_trajectories:
-            trajectories[trajectory.trial] = trajectory
-        del trajectory  # released before the next trial is played
+    for block in _trials(config, order):
+        summary.add(block)
+        if record_trajectories and block.start:
+            # a later block joins its trial's first, whose lists _trials no longer fills
+            whole = trajectories[block.trial]
+            whole.states.extend(islice(block.states, 1, None))
+            whole.bits.extend(block.bits)
+            whole.rewards.extend(block.rewards)
+            whole.rewarded.extend(block.rewarded)
+        elif record_trajectories:
+            trajectories[block.trial] = block
+        del block  # released before the next block is played
     return (tuple(trajectories) if record_trajectories else ()), summary.metrics()
 
 

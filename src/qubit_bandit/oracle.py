@@ -309,13 +309,18 @@ def asymptotic_claim_report(
 
     mean_states = np.empty(trials)
     zero_rates = np.empty(trials)
-    for trajectory in _trials(config, range(trials)):
-        # the states after each round of the window, summed in round order
-        state_acc = 0.0
-        for state in trajectory.states[start + 1 :]:
+    for block in _trials(config, range(trials)):
+        if not block.start:
+            state_acc, zero_picks = 0.0, 0
+        # the window's rounds in this block, whose states after them are
+        # summed in round order across the trial's blocks
+        first = max(start - block.start, 0)
+        for state in block.states[first + 1 :]:
             state_acc += state
-        mean_states[trajectory.trial] = state_acc / window_steps
-        zero_rates[trajectory.trial] = trajectory.bits[start:].count(0) / window_steps
+        zero_picks += block.bits[first:].count(0)
+        if block.start + len(block.bits) == horizon:
+            mean_states[block.trial] = state_acc / window_steps
+            zero_rates[block.trial] = zero_picks / window_steps
 
     mc_mean_p0 = float(np.mean(mean_states))
     mc_mean_p0_ci = float(1.96 * np.std(mean_states, ddof=1) / math.sqrt(trials))

@@ -124,7 +124,12 @@ def _majority_round(
     otherwise p0 shifts by the constant for that level of dissent, toward
     the measured bit if the majority was rewarded and away from it if not.
     Single play is n = 1 and coop n = 2, each with the one constant c.
+    p0 is taken as a Python float once, so a tie returns the float the
+    round read, whatever number type came in.
     """
+    # an exact float in range skips the full check, as in shift_probability
+    if type(p0) is not float or not 0.0 <= p0 <= 1.0:
+        p0 = _check_probability("p0", p0)
     bit = sample_bit(p0, rng)
     p_reward = arms.arm(bit)
     rewards: tuple[int, ...] = ()

@@ -54,7 +54,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # pairs of uint64 words
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64 = 2**64 - 1
-_MASK128 = 2**128 - 1
 _MULT = (_PCG_MULT >> 64, _PCG_MULT & _MASK64)
 _TO_UNIT = 2.0**-53
 # streams whose first blocks _first_blocks steps together: a few MB of arrays
@@ -227,14 +226,26 @@ def _jump_tables() -> tuple[np.ndarray, np.ndarray]:
     """a**j (row 0) and C_j (row 1) for j in 0 .. _BLOCK_CAP, as (hi, lo) uint64 arrays.
 
     C_j is the sum of a**i over i < j, so a**j * s + C_j * inc is the state
-    j steps after s. Built on first use, not at import.
+    j steps after s. Filled by doubling: with a**m and C_m known, rows
+    i + m are a**m * a**i and a**m * C_i + C_m. Built on first use, not at
+    import.
     """
-    powers, sums = [1], [0]
-    for _ in range(_BLOCK_CAP):
-        powers.append(powers[-1] * _PCG_MULT & _MASK128)
-        sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
-    table = np.array([powers, sums], dtype=object)
-    return (table >> 64).astype(np.uint64), (table & _MASK64).astype(np.uint64)
+    size = _BLOCK_CAP + 1
+    hi, lo = np.zeros((2, size), np.uint64), np.zeros((2, size), np.uint64)
+    lo[0, 0] = 1  # a**0; C_0 is 0
+    # a**m and C_m from m = 1, as one-item arrays: their products wrap
+    # silently, where numpy scalars would warn
+    power = tuple(np.array([word], np.uint64) for word in _MULT)
+    total = np.zeros(1, np.uint64), np.ones(1, np.uint64)
+    m = 1
+    while m < size:
+        count = min(m, size - m)
+        rows_hi, rows_lo = _mul((hi[:, :count], lo[:, :count]), power)
+        hi[0, m : m + count], lo[0, m : m + count] = rows_hi[0], rows_lo[0]
+        hi[1, m : m + count], lo[1, m : m + count] = _add((rows_hi[1], rows_lo[1]), total)
+        power, total = _mul(power, power), _add(_mul(total, power), total)
+        m *= 2
+    return hi, lo
 
 
 def _seeded(words: np.ndarray):

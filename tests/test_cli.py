@@ -332,6 +332,24 @@ def test_main_rejects_non_finite_increments(capsys, argv):
             "drift-step=0.1\n\ndrift_step=0.2\n",
             "config: line 3: duplicate key 'drift_step'",
         ),
+        # a run cannot index 2**63 rounds, trials or bits
+        (
+            ["single", "--c", "0.1", "--horizon", "9223372036854775808"],
+            None,
+            "horizon: must be at most 9223372036854775807, got 9223372036854775808",
+        ),
+        (
+            ["single", "--c", "0.1", "--trials", "9223372036854775808"],
+            None,
+            "trials: must be at most 9223372036854775807, got 9223372036854775808",
+        ),
+        # the output is a directory, which fails before any bit is drawn, so
+        # a lost bound cannot fill memory with draws
+        (
+            ["qrng", "--count", "9223372036854775808", "--output", "/"],
+            None,
+            "count: must be at most 9223372036854775807, got 9223372036854775808",
+        ),
     ],
     ids=[
         "qrng-missing-count",
@@ -357,6 +375,9 @@ def test_main_rejects_non_finite_increments(capsys, argv):
         "empty-constant-file",
         "duplicate-key",
         "duplicate-key-both-spellings",
+        "horizon-2**63",
+        "trials-2**63",
+        "qrng-count-2**63",
     ],
 )
 def test_main_error_lines(capsys, tmp_path, argv, file_text, line):

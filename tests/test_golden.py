@@ -2,8 +2,9 @@
 
 The files under tests/golden/ were written by the CLI before its emitter
 was rewritten to stream rows; any change to an emitted byte fails here.
-Each case runs in both formats. Horizons stay in the tens of rounds so the
-files stay small. The JSON emitter is also checked against json.dumps of
+Each learning case runs in both formats. Horizons stay in the tens of
+rounds so the files stay small. The qrng subcommand's bit file and its
+stdout battery lines have a golden file each. The JSON emitter is also checked against json.dumps of
 the head dict plus per-row dicts.
 """
 
@@ -59,6 +60,14 @@ def test_stdout_output_matches_golden_bytes(fmt, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"ghz-drift.{fmt}").read_bytes()
 
 
+def test_qrng_output_and_battery_match_golden_bytes(tmp_path, capsys):
+    # 1,001 bits: enough for both battery tests, with a trailing odd bit
+    out = tmp_path / "qrng.txt"
+    assert main(["qrng", "--count", "1001", "--p0", "0.3", "--seed", "5", "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "qrng.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == (GOLDEN / "qrng-battery.txt").read_bytes()
+
+
 def _reference_payload(head, trajectories):
     """The emitted JSON document as a dict, built the way json.dumps would see it."""
     steps = [
@@ -79,13 +88,18 @@ def _reference_payload(head, trajectories):
     return {**head, "steps": steps}
 
 
+# at horizon 4,097 emit formats each trial as two blocks, the second from step 4,096
 @pytest.mark.parametrize(
-    "scenario,trials",
-    [(Scenario.SINGLE_AGENT, 3), (Scenario.DUO_CONFLICT, 2)],
-    ids=["single", "duo"],
+    "scenario,trials,horizon",
+    [
+        (Scenario.SINGLE_AGENT, 3, 4),
+        (Scenario.DUO_CONFLICT, 2, 4),
+        (Scenario.SINGLE_AGENT, 2, 4_097),
+    ],
+    ids=["single", "duo", "single-two-blocks"],
 )
-def test_json_rows_equal_json_dumps_of_the_row_dicts(scenario, trials):
-    config = ExperimentConfig(scenario=scenario, c=0.3, horizon=4, trials=trials, seed=2)
+def test_json_rows_equal_json_dumps_of_the_row_dicts(scenario, trials, horizon):
+    config = ExperimentConfig(scenario=scenario, c=0.3, horizon=horizon, trials=trials, seed=2)
     trajectories, metrics = run_experiment(config)
     buffer = io.StringIO()
     emit(config, "json", buffer)

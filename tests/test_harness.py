@@ -192,6 +192,16 @@ def test_peak_memory_is_bounded_by_one_trial_whatever_the_order():
     assert reversed_ <= 1.3 * one
 
 
+def test_peak_memory_of_a_long_trial_is_bounded_by_a_block():
+    # a trial is held a block of rounds at a time, so what grows with the
+    # horizon is the reward curve (8 B a round) and the arrays metrics()
+    # builds from it; a whole trial's columns cost about 58 B a round
+    config = _single_config(horizon=100_000, trials=1)
+    # fills the update-table memo and the refill jump tables outside the measurement
+    run_experiment(_single_config(horizon=5_000, trials=1))
+    assert _traced_peak(config, None) / config.horizon < 40
+
+
 def test_trial_order_must_be_a_permutation():
     with pytest.raises(ValueError):
         run_experiment(_single_config(), trial_order=[0, 0, 1, 2])

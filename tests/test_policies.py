@@ -221,6 +221,15 @@ def test_coop_pair_step_outcomes(draws, bit, rewards, direction, p0_after):
     assert record.update_magnitude == (0.0 if direction is None else 0.1)
 
 
+@pytest.mark.parametrize("draws", [[0.3, 0.1, 0.9], [0.3, 0.1, 0.1]], ids=["split", "update"])
+def test_coop_pair_step_takes_a_numpy_start_as_a_python_float(draws):
+    # a split returns the state it read, so it must have read a Python float
+    out, record = coop_pair_step(
+        np.float32(0.5), _pair_env(0.8, 0.2), UpdateConfig(0.1), _Scripted(draws)
+    )
+    assert [type(x) for x in (out, record.p0_before, record.p0_after)] == [float] * 3
+
+
 def test_coop_pair_step_requires_two_users():
     with pytest.raises(ValueError):
         coop_pair_step(0.5, _pair_env(0.8, 0.2, n=3), UpdateConfig(0.1), RandomStream(0))

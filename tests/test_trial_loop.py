@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubit_bandit import bandit, cli, harness, oracle
@@ -120,8 +120,35 @@ def configs(draw):
     return ExperimentConfig(**kwargs)
 
 
+_CONTRACT = [
+    # (scenario settings, draws per round without drift, pulls per round)
+    (dict(scenario=Scenario.SINGLE_AGENT, c=0.1), 2, 1),
+    (dict(scenario=Scenario.COOP_PAIR, c=0.1), 3, 2),
+    (dict(scenario=Scenario.GHZ, n_users=4, constants=(0.1, 0.05)), 5, 4),
+    (dict(scenario=Scenario.GHZ, n_users=5, constants=(0.1, 0.05, 0.01)), 6, 5),
+    (dict(scenario=Scenario.DUO_CONFLICT), 3, 2),
+]
+
+# _trials hands each trial over in blocks of _BLOCK_CAP = 4,096 rounds:
+# (horizon, trials) on both sides of one block edge, and one round past two
+# blocks, where a second trial's blocks follow the first's
+_BLOCK_EDGES = ((4_095, 1), (4_096, 1), (4_097, 1), (8_193, 2))
+
+
+def _at_block_edges(test):
+    """test with an explicit example per scenario, drift setting and block-edge horizon."""
+    for settings_, _, _ in _CONTRACT:
+        for drift in (0.0, 0.01):
+            for horizon, trials in _BLOCK_EDGES:
+                run = dict(horizon=horizon, trials=trials, seed=horizon, drift_step=drift)
+                config = ExperimentConfig(p1=0.6, p2=0.3, window=0.3, **run, **settings_)
+                test = example(config=config)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
 @given(config=configs())
+@_at_block_edges
 def test_trial_loop_matches_the_per_round_reference(config):
     trajectories, metrics = run_experiment(config)
     reference = [
@@ -214,16 +241,6 @@ def _counting(monkeypatch, module):
     return counts
 
 
-_CONTRACT = [
-    # (scenario settings, draws per round without drift, pulls per round)
-    (dict(scenario=Scenario.SINGLE_AGENT, c=0.1), 2, 1),
-    (dict(scenario=Scenario.COOP_PAIR, c=0.1), 3, 2),
-    (dict(scenario=Scenario.GHZ, n_users=4, constants=(0.1, 0.05)), 5, 4),
-    (dict(scenario=Scenario.GHZ, n_users=5, constants=(0.1, 0.05, 0.01)), 6, 5),
-    (dict(scenario=Scenario.DUO_CONFLICT), 3, 2),
-]
-
-
 @pytest.mark.parametrize("drift", [0.0, 0.01], ids=["still", "drift"])
 @pytest.mark.parametrize(
     "settings_,draws,pulls", _CONTRACT, ids=["single", "coop", "ghz4", "ghz5", "duo"]
@@ -243,9 +260,12 @@ def test_asymptotic_report_keeps_the_draw_contract(monkeypatch):
     assert counts == {"draws": 2 * 9 * 4, "pulls": 9 * 4}
 
 
-def test_asymptotic_report_matches_the_per_round_reference():
-    # a small c keeps the state off the clamps, so every window state counts
-    p1, p2, c, horizon, trials, seed = 0.6, 0.5, 0.02, 40, 6, 9
+# at horizon 5,000 the window, rounds 4,000 to 4,999, starts in a trial's
+# first block of 4,096 rounds and ends in its second
+@pytest.mark.parametrize("horizon,trials", [(40, 6), (5_000, 3)])
+def test_asymptotic_report_matches_the_per_round_reference(horizon, trials):
+    # a small c keeps the horizon-40 states off the clamps, so every window state counts
+    p1, p2, c, seed = 0.6, 0.5, 0.02, 9
     report = oracle.asymptotic_claim_report(p1, p2, c, horizon=horizon, trials=trials, seed=seed)
     env = TwoArmBandit(p1, p2)
     window_steps = max(1, int(horizon * 0.2))
