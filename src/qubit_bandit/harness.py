@@ -40,10 +40,10 @@ from .policies import GhzConstants, StepRecord
 from .quantum import (
     Direction,
     RandomStream,
+    _BLOCK_CAP,
     _check_count,
     _check_fraction,
     _check_probability,
-    _BLOCK_CAP,
     _check_seed,
     _is_number,
     _first_blocks,
@@ -418,7 +418,7 @@ class _Summary:
         its rounds, and summarise its trial at the trial's last block."""
         start, bits, rewarded = block.start, block.bits, block.rewarded
         stop, horizon = start + len(bits), self.horizon
-        if stop - start == horizon:  # the whole trial: a new curve costs less than a slice
+        if len(bits) == horizon:  # the whole trial: a new curve costs less than a slice
             self.counts = list(map(operator.add, self.counts, rewarded))
         else:
             counts = self.counts
