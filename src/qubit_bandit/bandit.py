@@ -1,15 +1,17 @@
-"""Bernoulli slot machines: a two-armed bank, replicated copies, optional drift.
+"""Bernoulli slot machines: a two-armed bank with optional drift.
 
 A machine is its reward probability: it pays 1 with that probability, else 0.
+Users who play replicated pairs all play copies of one bank, so a bank
+stands for every copy, and the number of users is a plain count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quantum import RandomStream, _check_count, _check_probability, _is_number
+from .quantum import RandomStream, _check_probability, _is_number
 
-__all__ = ["TwoArmBandit", "ReplicatedBandit", "pull", "drift_step"]
+__all__ = ["TwoArmBandit", "pull", "drift_step"]
 
 
 @dataclass(frozen=True)
@@ -37,19 +39,6 @@ class TwoArmBandit:
             if index == 1:
                 return self.p2
         raise ValueError(f"machine index must be 0 or 1, got {index!r}")
-
-
-@dataclass(frozen=True)
-class ReplicatedBandit:
-    """One machine pair per user, all sharing the template's reward probabilities."""
-
-    template: TwoArmBandit
-    n_users: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.template, TwoArmBandit):
-            raise ValueError(f"template must be a TwoArmBandit, got {self.template!r}")
-        object.__setattr__(self, "n_users", _check_count("n_users", self.n_users, 2))
 
 
 def pull(p_reward: float, rng: RandomStream) -> int:

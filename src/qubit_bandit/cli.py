@@ -3,8 +3,15 @@
 One binary, five subcommands: qrng (raw bits from sample_bits plus a
 statistics battery), single, duo-conflict, coop, and ghz (learning runs,
 which emit plays and writes as CSV or JSON; it is their one writer). Flags
-override config-file values; every emitted file carries enough metadata to
-replay the run exactly.
+override config-file values. ExperimentConfig.validate alone says what a
+scenario requires; parse_args re-raises its errors under the flag the user
+typed.
+
+Every emitted file carries its run's exact configuration. To replay a run,
+rebuild it with config_from_metadata(read_csv_metadata(path)) for a CSV, or
+config_from_metadata(payload["metadata"]["config"]) for a parsed JSON
+payload, and pass it to emit; --config reads key=value files only, not
+emitted ones.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 from typing import IO, Iterator, Sequence
@@ -46,7 +53,6 @@ from .quantum import Direction, RandomStream, sample_bits
 
 __all__ = [
     "OUTPUT_DIR_ENV",
-    "EmitOptions",
     "parse_args",
     "config_to_dict",
     "config_from_metadata",
@@ -106,28 +112,22 @@ _FORMATS = ("csv", "json")
 # in resolution order, which fixes the first error a multi-fault input reports
 _BANDIT_FLAGS = ("p1", "p2", "p0", "horizon", "trials", "seed", "drift_step", "window")
 
-# subcommand -> (help, flags besides config, required flags)
+# subcommand -> (help, flags besides config); ExperimentConfig.validate
+# says which of them a scenario requires
 _COMMANDS = {
-    "qrng": (
-        "emit raw bits plus a statistics battery",
-        ("p0", "count", "seed", "output"),
-        {"count"},
-    ),
-    "single": ("one learner on two machines", (*_BANDIT_FLAGS, "c", "format", "output"), {"c"}),
+    "qrng": ("emit raw bits plus a statistics battery", ("p0", "count", "seed", "output")),
+    "single": ("one learner on two machines", (*_BANDIT_FLAGS, "c", "format", "output")),
     "duo-conflict": (
         "two users, one machine pair, collision-free assignment",
         (*_BANDIT_FLAGS, "p_first", "format", "output"),
-        set(),
     ),
     "coop": (
         "two users learning jointly on replicated pairs",
         (*_BANDIT_FLAGS, "c", "format", "output"),
-        {"c"},
     ),
     "ghz": (
         "n users with majority updates on replicated pairs",
         (*_BANDIT_FLAGS, "n", "constants", "format", "output"),
-        {"n", "constants"},
     ),
 }
 
@@ -137,12 +137,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         raise ConfigError(message)
-
-
-@dataclass(frozen=True)
-class EmitOptions:
-    format: str
-    output: str | None
 
 
 def _round12(value: float) -> float:
@@ -158,7 +152,7 @@ def _build_parser() -> _Parser:
         allow_abbrev=False,
     )
     subparsers = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for command, (help_text, flags, _) in _COMMANDS.items():
+    for command, (help_text, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text, allow_abbrev=False)
         for flag in (*flags, "config"):
             sub.add_argument(
@@ -207,11 +201,15 @@ def _parse_constants(value: str) -> tuple[float, ...]:
         raise ConfigError(f"constants: expected comma-separated floats, got {value!r}") from exc
 
 
-def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, EmitOptions]:
-    """Resolve flags and config file into a validated run; unset fields keep their defaults."""
+def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, str, str | None]:
+    """Resolve flags and config file into (validated run, output format,
+    output path or None for stdout); unset fields keep their defaults.
+
+    qrng's format is "bits", the one it writes.
+    """
     namespace = _build_parser().parse_args(argv)
     command = namespace.command
-    _, flags, required = _COMMANDS[command]
+    _, flags = _COMMANDS[command]
     file_values = _load_config_file(namespace.config) if namespace.config else {}
     values = {}
     for flag in flags:
@@ -220,8 +218,9 @@ def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, Emi
             value = _parse_file_value(flag, file_values[flag])
         if value is not None:
             values[flag] = value
-        elif flag in required:
-            raise ConfigError(f"{flag}: required for '{command}'")
+    # count maps to horizon, which has a default, so validate cannot see it missing
+    if command == "qrng" and "count" not in values:
+        raise ConfigError("count: required for 'qrng'")
     if "constants" in values:
         values["constants"] = _parse_constants(values["constants"])
     if values.get("format", "csv") not in _FORMATS:
@@ -238,7 +237,7 @@ def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, Emi
         flag = next((f for f in flags if _FLAGS[f][0] == field), field)
         raise ConfigError(f"{flag}: {rest}") from exc
     fmt = values.get("format", "csv" if "format" in flags else "bits")
-    return config, EmitOptions(format=fmt, output=values.get("output"))
+    return config, fmt, values.get("output")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -512,14 +511,15 @@ def _run_qrng(config: ExperimentConfig, handle: IO[str]) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Console entry point. Exit 0 on success, 2 on bad arguments, 1 on run failure."""
+    """Console entry point. Exit 0 on success, 2 on bad arguments, 1 on run
+    failure, including a run too large for memory."""
     try:
-        config, options = parse_args(argv)
+        config, fmt, output = parse_args(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        destination = _resolve_output(options.output)
+        destination = _resolve_output(output)
         # opened, and truncated, before the run, so a path that cannot be
         # written fails before any trial is played
         with open(destination, "w") if destination else nullcontext(sys.stdout) as handle:
@@ -527,9 +527,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _run_qrng(config, handle)
             else:
                 spill_dir = destination.parent if destination else None
-                emit(config, options.format, handle, spill_dir)
+                emit(config, fmt, handle, spill_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: the run does not fit in memory", file=sys.stderr)
         return 1
     return 0
 

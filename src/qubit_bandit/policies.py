@@ -6,16 +6,18 @@ cooperative update for two users on replicated pairs, and a majority-vote
 update for n users on a shared GHZ register. Single and cooperative play
 are the one- and two-user cases of the majority round. The step functions
 play one round each: state in, (new state, record) out, randomness only
-through the given stream. They are the per-round reference: the harness
-plays every trial of a run by the same rules in its own loop, and the
-tests compare the two routes draw for draw.
+through the given stream. Besides the bank, they take what the oracle's
+one-step enumerators take: c, or n and the graded constants, c and n as
+plain numbers checked before the first draw. They are the per-round
+reference: the harness plays every trial of a run by the same rules in its
+own loop, and the tests compare the two routes draw for draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bandit import ReplicatedBandit, TwoArmBandit, pull
+from .bandit import TwoArmBandit, pull
 from .quantum import (
     Direction,
     RandomStream,
@@ -29,7 +31,6 @@ from .quantum import (
 )
 
 __all__ = [
-    "UpdateConfig",
     "GhzConstants",
     "StepRecord",
     "single_agent_step",
@@ -38,20 +39,6 @@ __all__ = [
     "majority_update_rule",
     "ghz_step",
 ]
-
-
-@dataclass(frozen=True)
-class UpdateConfig:
-    """Per-round probability increment applied after a reward outcome.
-
-    c must be in (0, 1]; values well below 1 keep the state off the clamp
-    boundaries for longer.
-    """
-
-    c: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _check_fraction("c", self.c))
 
 
 @dataclass(frozen=True)
@@ -148,7 +135,7 @@ def _majority_round(
 def single_agent_step(
     p0: float,
     env: TwoArmBandit,
-    cfg: UpdateConfig,
+    c: float,
     rng: RandomStream,
     step: int = 0,
 ) -> tuple[float, StepRecord]:
@@ -156,10 +143,13 @@ def single_agent_step(
 
     The measured bit picks the machine. A reward reinforces the outcome that
     was measured (machine 0 rewarded shifts toward 0, machine 1 rewarded
-    shifts toward 1); no reward pushes the other way. Consumes exactly two
-    draws: measurement, then pull.
+    shifts toward 1) by c in (0, 1]; no reward pushes the other way.
+    Consumes exactly two draws: measurement, then pull.
     """
-    return _majority_round(p0, env, 1, (cfg.c,), rng, step)
+    # an exact float in range skips the full check, as in shift_probability
+    if type(c) is not float or not 0.0 < c <= 1.0:
+        c = _check_fraction("c", c)
+    return _majority_round(p0, env, 1, (c,), rng, step)
 
 
 def duo_conflict_assign(rng: RandomStream, p_first: float = 0.5) -> tuple[int, int]:
@@ -177,21 +167,24 @@ def duo_conflict_assign(rng: RandomStream, p_first: float = 0.5) -> tuple[int, i
 
 def coop_pair_step(
     p0: float,
-    env: ReplicatedBandit,
-    cfg: UpdateConfig,
+    env: TwoArmBandit,
+    c: float,
     rng: RandomStream,
     step: int = 0,
 ) -> tuple[float, StepRecord]:
     """One cooperative round for two users sharing a correlated pair.
 
-    Both users read the same bit and play that machine on their own pair.
-    Two rewards shift toward the measured outcome, zero rewards shift away,
-    and a split (exactly one reward) leaves the state untouched. Consumes
-    exactly three draws: measurement, then one pull per user.
+    Both users read the same bit and play that machine on their own copy of
+    env. Two rewards shift toward the measured outcome by c in (0, 1], zero
+    rewards shift away, and a split (exactly one reward) leaves the state
+    untouched. Consumes exactly three draws: measurement, then one pull per
+    user.
     """
-    if env.n_users != 2:
-        raise ValueError(f"cooperative play needs exactly 2 users, got {env.n_users}")
-    return _majority_round(p0, env.template, 2, (cfg.c,), rng, step)
+    # an exact float in range skips the full check; checked here, since a
+    # split never reaches shift_probability
+    if type(c) is not float or not 0.0 < c <= 1.0:
+        c = _check_fraction("c", c)
+    return _majority_round(p0, env, 2, (c,), rng, step)
 
 
 def majority_update_rule(n: int, rewards: tuple[int, ...]) -> tuple[int, bool] | None:
@@ -199,8 +192,12 @@ def majority_update_rule(n: int, rewards: tuple[int, ...]) -> tuple[int, bool] |
 
     The index counts dissent: 1 on full agreement, up to ceil(n/2) at the
     narrowest majority. An even split (possible only for even n) yields no
-    decision.
+    decision. n is taken as a Python int, so the result holds Python numbers
+    whatever integer type came in.
     """
+    # an exact int skips the full check, which refuses bools
+    if type(n) is not int or n < 1:
+        n = _check_count("n", n, 1)
     if len(rewards) != n:
         raise ValueError(f"expected {n} rewards, got {len(rewards)}")
     rewarded = rewards.count(1)
@@ -216,19 +213,23 @@ def majority_update_rule(n: int, rewards: tuple[int, ...]) -> tuple[int, bool] |
 
 def ghz_step(
     p0: float,
-    env: ReplicatedBandit,
+    env: TwoArmBandit,
+    n: int,
     constants: GhzConstants,
     rng: RandomStream,
     step: int = 0,
 ) -> tuple[float, StepRecord]:
-    """One majority round for n users sharing a GHZ register.
+    """One majority round for n >= 2 users sharing a GHZ register.
 
-    Everyone reads the same bit and plays that machine on their own pair.
-    The update only happens when a strict majority agrees on the outcome:
-    shift toward the measured bit if the majority was rewarded, away if not,
-    by the constant matching the level of agreement. Consumes exactly n + 1
-    draws: measurement, then one pull per user.
+    Everyone reads the same bit and plays that machine on their own copy of
+    env. The update only happens when a strict majority agrees on the
+    outcome: shift toward the measured bit if the majority was rewarded,
+    away if not, by the constant matching the level of agreement, so
+    constants must hold ceil(n/2) of them. Consumes exactly n + 1 draws:
+    measurement, then one pull per user.
     """
-    n = env.n_users
+    # an exact int skips the full check, which refuses bools
+    if type(n) is not int or n < 2:
+        n = _check_count("n", n, 2)
     constants.validate_for(n)
-    return _majority_round(p0, env.template, n, constants.constants, rng, step)
+    return _majority_round(p0, env, n, constants.constants, rng, step)

@@ -16,7 +16,7 @@ import numpy as np
 
 import pytest
 
-from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
+from qubit_bandit.bandit import TwoArmBandit
 from qubit_bandit.cli import main, parse_args
 from qubit_bandit.harness import ExperimentConfig, Scenario, run_experiment
 from qubit_bandit.oracle import (
@@ -26,7 +26,6 @@ from qubit_bandit.oracle import (
 )
 from qubit_bandit.policies import (
     GhzConstants,
-    UpdateConfig,
     coop_pair_step,
     duo_conflict_assign,
     ghz_step,
@@ -87,11 +86,10 @@ def test_03_one_step_oracle_equivalence(capsys):
         p0, p1, p2 = params.random(3)
         c = params.uniform(0.005, 0.3)
         env = TwoArmBandit(p1, p2)
-        cfg = UpdateConfig(c)
         stream = RandomStream(777, stream=case)
         counts: dict[float, int] = {}
         for _ in range(samples):
-            out, _ = single_agent_step(p0, env, cfg, stream)
+            out, _ = single_agent_step(p0, env, c, stream)
             counts[out] = counts.get(out, 0) + 1
         dist = enumerate_single_step(p0, p1, p2, c)
         # sampled states must be exactly the enumerated ones, no binning
@@ -258,10 +256,10 @@ def test_08_cooperative_split_neutrality(capsys):
     for case in range(10_000):
         if case % 100 == 0:
             p1, p2 = params.random(2)
-            env = ReplicatedBandit(TwoArmBandit(p1, p2), 2)
-            cfg = UpdateConfig(params.uniform(0.001, 0.4))
+            env = TwoArmBandit(p1, p2)
+            c = params.uniform(0.001, 0.4)
         p0 = float(params.random())
-        out, record = coop_pair_step(p0, env, cfg, stream)
+        out, record = coop_pair_step(p0, env, c, stream)
         if sum(record.rewards) == 1:
             splits += 1
             if out != p0 or record.p0_after != p0:
@@ -373,16 +371,16 @@ def test_11_state_validity(capsys):
             check(p0)
             if scenario == "single":
                 env = TwoArmBandit(p1, p2)
-                cfg = UpdateConfig(params.uniform(0.001, 0.4))
+                c = params.uniform(0.001, 0.4)
                 for _ in range(1000):
-                    p0, _ = single_agent_step(p0, env, cfg, stream)
+                    p0, _ = single_agent_step(p0, env, c, stream)
                     check(p0)
                     steps_taken += 1
             elif scenario == "coop":
-                env = ReplicatedBandit(TwoArmBandit(p1, p2), 2)
-                cfg = UpdateConfig(params.uniform(0.001, 0.4))
+                env = TwoArmBandit(p1, p2)
+                c = params.uniform(0.001, 0.4)
                 for _ in range(1000):
-                    p0, _ = coop_pair_step(p0, env, cfg, stream)
+                    p0, _ = coop_pair_step(p0, env, c, stream)
                     check(p0)
                     steps_taken += 1
             else:
@@ -390,9 +388,9 @@ def test_11_state_validity(capsys):
                 count = GhzConstants.required_count(n)
                 first = params.uniform(0.05, 0.2)
                 constants = GhzConstants(tuple(first * 0.5**i for i in range(count)))
-                env = ReplicatedBandit(TwoArmBandit(p1, p2), n)
+                env = TwoArmBandit(p1, p2)
                 for _ in range(1000):
-                    p0, _ = ghz_step(p0, env, constants, stream)
+                    p0, _ = ghz_step(p0, env, n, constants, stream)
                     check(p0)
                     steps_taken += 1
     elapsed = time.perf_counter() - started

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit, drift_step, pull
+from qubit_bandit.bandit import TwoArmBandit, drift_step, pull
 from qubit_bandit.quantum import RandomStream
 
 
@@ -70,12 +70,6 @@ def test_arm_lookup_rejects_other_indices():
         with pytest.raises(ValueError, match="^machine index must be 0 or 1, got "):
             env.arm(index)
     assert (env.arm(np.int64(0)), env.arm(np.int64(1))) == (0.8, 0.2)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2.0])
-def test_replicated_bandit_needs_at_least_two_users(n):
-    with pytest.raises(ValueError):
-        ReplicatedBandit(TwoArmBandit(0.5, 0.5), n)
 
 
 # ---------------------------------------------------------------------------

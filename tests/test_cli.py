@@ -101,12 +101,12 @@ def test_parse_validates_through_experiment_config():
 
 
 def test_parse_emit_options():
-    _, options = parse_args(["single", "--c", "0.1", "--format", "json", "--output", "x.json"])
-    assert options.format == "json"
-    assert options.output == "x.json"
-    _, options = parse_args(["single", "--c", "0.1"])
-    assert options.format == "csv"
-    assert options.output is None
+    _, fmt, output = parse_args(["single", "--c", "0.1", "--format", "json", "--output", "x.json"])
+    assert fmt == "json"
+    assert output == "x.json"
+    _, fmt, output = parse_args(["single", "--c", "0.1"])
+    assert fmt == "csv"
+    assert output is None
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +267,10 @@ def test_main_rejects_non_finite_increments(capsys, argv):
     "argv,file_text,line",
     [
         (["qrng"], None, "count: required for 'qrng'"),
-        (["single"], None, "c: required for 'single'"),
-        (["coop"], None, "c: required for 'coop'"),
-        (["ghz", "--constants", "0.1"], None, "n: required for 'ghz'"),
-        (["ghz", "--n", "3"], None, "constants: required for 'ghz'"),
+        (["single"], None, "c: required for scenario 'single'"),
+        (["coop"], None, "c: required for scenario 'coop'"),
+        (["ghz", "--constants", "0.1"], None, "n: required for scenario 'ghz'"),
+        (["ghz", "--n", "3"], None, "constants: required for scenario 'ghz'"),
         (
             ["single", "--c", "0.1", "--format", "xml"],
             None,
@@ -382,6 +382,14 @@ def test_main_rejects_non_finite_increments(capsys, argv):
 )
 def test_main_error_lines(capsys, tmp_path, argv, file_text, line):
     assert _run(capsys, _with_file(tmp_path, argv, file_text)) == (2, "", f"error: {line}\n")
+
+
+# a run of sys.maxsize rounds or trials validates, but its summary cannot
+# be allocated: [x] * n fails at once, before allocating anything
+@pytest.mark.parametrize("flag", ["--horizon", "--trials"])
+def test_main_error_line_for_a_run_too_large_for_memory(capsys, flag):
+    argv = ["single", "--c", "0.1", flag, "9223372036854775807"]
+    assert _run(capsys, argv) == (1, "", "error: the run does not fit in memory\n")
 
 
 def test_main_unknown_flag_exits_2(capsys):

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
+from qubit_bandit.bandit import TwoArmBandit
 from qubit_bandit.oracle import enumerate_coop_step, enumerate_ghz_step
 from qubit_bandit.policies import (
     GhzConstants,
-    UpdateConfig,
     coop_pair_step,
     duo_conflict_assign,
     ghz_step,
@@ -34,26 +33,68 @@ class _Scripted:
         return value
 
 
+class _NoDraws:
+    """Stand-in for RandomStream that fails the test on any draw."""
+
+    def uniform(self):
+        raise AssertionError("drew before checking the arguments")
+
+
 def _env(p1, p2):
     return TwoArmBandit(p1, p2)
 
 
-def _pair_env(p1, p2, n=2):
-    return ReplicatedBandit(TwoArmBandit(p1, p2), n)
+# ---------------------------------------------------------------------------
+# step arguments
+
+
+@pytest.mark.parametrize(
+    "bad", [0.0, -0.1, float("inf"), 1.5, 1.0000000000000002, float("nan"), True, "0.1"]
+)
+def test_steps_refuse_a_bad_increment_before_any_draw(bad):
+    for step in (single_agent_step, coop_pair_step):
+        with pytest.raises(ValueError, match=r"^c must be in \(0, 1\], got "):
+            step(0.5, _env(0.8, 0.2), bad, _NoDraws())
+
+
+def test_steps_accept_an_increment_of_one():
+    for step in (single_agent_step, coop_pair_step):
+        out, record = step(0.5, _env(1.0, 1.0), 1.0, _Scripted([0.3, 0.5, 0.5]))
+        assert out == record.p0_after == 1.0
+        assert record.update_magnitude == 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2.0, True, "3", np.float64(3.0)])
+def test_ghz_step_refuses_a_bad_user_count_before_any_draw(n):
+    with pytest.raises(ValueError, match="^n must be an integer >= 2, got "):
+        ghz_step(0.5, _env(0.8, 0.2), n, GhzConstants((0.1,)), _NoDraws())
+
+
+def _assert_python_numbers(out, record):
+    r = record
+    numbers = (out, r.step, r.p0_before, r.measured_bit, *r.machines, *r.rewards)
+    numbers += (r.update_magnitude, r.p0_after)
+    users = len(r.machines) + len(r.rewards)
+    assert tuple(map(type, numbers)) == (float, int, float, int, *[int] * users, float, float)
+    assert type(r.update_direction) is Direction
+
+
+def test_steps_take_numpy_numbers_as_python_ones():
+    # both rounds update, so c and the magnitude reach the record
+    out, record = coop_pair_step(
+        np.float64(0.5), _env(0.8, 0.2), np.float64(0.1), _Scripted([0.3, 0.1, 0.1])
+    )
+    assert (out, record.update_magnitude) == (0.6, 0.1)
+    _assert_python_numbers(out, record)
+    out, record = ghz_step(
+        0.5, _env(0.8, 0.2), np.int64(3), GhzConstants((0.1, 0.05)), _Scripted([0.3, 0.1, 0.1, 0.95])
+    )
+    assert (out, record.rewards, record.update_magnitude) == (0.55, (1, 1, 0), 0.05)
+    _assert_python_numbers(out, record)
 
 
 # ---------------------------------------------------------------------------
 # configuration containers
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.1, float("inf"), 1.5, 1.0000000000000002])
-def test_update_config_requires_positive_increment(bad):
-    with pytest.raises(ValueError):
-        UpdateConfig(bad)
-
-
-def test_update_config_accepts_an_increment_of_one():
-    assert UpdateConfig(1.0).c == 1.0
 
 
 def test_ghz_constants_must_be_strictly_decreasing_and_positive():
@@ -109,7 +150,7 @@ def test_ghz_constants_validate_for_rejects_bad_user_counts(n_users):
 )
 def test_single_agent_step_four_outcome_branches(draws, bit, reward, direction, p0_after):
     stub = _Scripted(draws)
-    out, record = single_agent_step(0.5, _env(0.8, 0.2), UpdateConfig(0.1), stub, step=7)
+    out, record = single_agent_step(0.5, _env(0.8, 0.2), 0.1, stub, step=7)
     assert out == pytest.approx(p0_after, abs=1e-15)
     assert stub.consumed == 2
     assert record.step == 7
@@ -123,7 +164,7 @@ def test_single_agent_step_four_outcome_branches(draws, bit, reward, direction, 
 
 
 def test_single_agent_step_clamps_at_boundaries():
-    out, record = single_agent_step(0.95, _env(1.0, 0.0), UpdateConfig(0.1), _Scripted([0.3, 0.5]))
+    out, record = single_agent_step(0.95, _env(1.0, 0.0), 0.1, _Scripted([0.3, 0.5]))
     assert out == 1.0
     assert record.update_direction is Direction.TOWARD_ZERO
 
@@ -132,14 +173,14 @@ def test_single_agent_reward_monotone_environment_pins_the_state():
     """With machine 0 always paying and machine 1 never paying, every round
     shifts toward 0, so the state reaches 1.0 and stays there."""
     env = _env(1.0, 0.0)
-    cfg = UpdateConfig(0.01)
+    c = 0.01
     pinned = 0
     trials = 1000
     for trial in range(trials):
         rng = RandomStream(1234, stream=trial)
         p0 = 0.5
         for step in range(500):
-            p0, _ = single_agent_step(p0, env, cfg, rng, step)
+            p0, _ = single_agent_step(p0, env, c, rng, step)
         pinned += p0 >= 1.0 - 1e-12
     assert pinned / trials > 0.99
 
@@ -153,12 +194,12 @@ def test_single_agent_mirror_symmetry():
     mirrored = draws.copy()
     mirrored[0::2] = 1.0 - mirrored[0::2]
 
-    cfg = UpdateConfig(0.07)
+    c = 0.07
     a, b = _Scripted(draws), _Scripted(mirrored)
     p0, q0 = 0.5, 0.5
     for step in range(steps):
-        p0, rec = single_agent_step(p0, _env(0.8, 0.3), cfg, a, step)
-        q0, mirror = single_agent_step(q0, _env(0.3, 0.8), cfg, b, step)
+        p0, rec = single_agent_step(p0, _env(0.8, 0.3), c, a, step)
+        q0, mirror = single_agent_step(q0, _env(0.3, 0.8), c, b, step)
         assert mirror.measured_bit == 1 - rec.measured_bit
         assert mirror.rewards == rec.rewards
         assert q0 == pytest.approx(1.0 - p0, abs=1e-9)
@@ -211,7 +252,7 @@ def test_duo_conflict_assign_first_user_bias():
 )
 def test_coop_pair_step_outcomes(draws, bit, rewards, direction, p0_after):
     stub = _Scripted(draws)
-    out, record = coop_pair_step(0.5, _pair_env(0.8, 0.2), UpdateConfig(0.1), stub)
+    out, record = coop_pair_step(0.5, _env(0.8, 0.2), 0.1, stub)
     assert out == pytest.approx(p0_after, abs=1e-15)
     assert stub.consumed == 3
     assert record.measured_bit == bit
@@ -224,15 +265,8 @@ def test_coop_pair_step_outcomes(draws, bit, rewards, direction, p0_after):
 @pytest.mark.parametrize("draws", [[0.3, 0.1, 0.9], [0.3, 0.1, 0.1]], ids=["split", "update"])
 def test_coop_pair_step_takes_a_numpy_start_as_a_python_float(draws):
     # a split returns the state it read, so it must have read a Python float
-    out, record = coop_pair_step(
-        np.float32(0.5), _pair_env(0.8, 0.2), UpdateConfig(0.1), _Scripted(draws)
-    )
+    out, record = coop_pair_step(np.float32(0.5), _env(0.8, 0.2), 0.1, _Scripted(draws))
     assert [type(x) for x in (out, record.p0_before, record.p0_after)] == [float] * 3
-
-
-def test_coop_pair_step_requires_two_users():
-    with pytest.raises(ValueError):
-        coop_pair_step(0.5, _pair_env(0.8, 0.2, n=3), UpdateConfig(0.1), RandomStream(0))
 
 
 @given(
@@ -241,9 +275,7 @@ def test_coop_pair_step_requires_two_users():
 )
 def test_coop_split_leaves_state_bit_identical(p0, u):
     # reward draws 0.25 / 0.75 on p = 0.5 machines force a split
-    out, record = coop_pair_step(
-        p0, _pair_env(0.5, 0.5), UpdateConfig(0.1), _Scripted([u, 0.25, 0.75])
-    )
+    out, record = coop_pair_step(p0, _env(0.5, 0.5), 0.1, _Scripted([u, 0.25, 0.75]))
     assert out == p0
     assert record.p0_after == p0
     assert record.update_direction is None
@@ -277,6 +309,20 @@ def test_majority_update_rule_rejects_bad_input():
         majority_update_rule(2, (1, 2))
 
 
+def test_majority_update_rule_returns_python_numbers_for_a_numpy_count():
+    outcome = majority_update_rule(np.int64(3), (1, 1, 0))
+    assert outcome == (2, True)
+    assert tuple(map(type, outcome)) == (int, bool)
+
+
+@pytest.mark.parametrize(
+    "n,rewards", [(True, (1,)), (0, ()), (2.0, (1, 1))], ids=["bool", "zero", "float"]
+)
+def test_majority_update_rule_refuses_a_bad_count(n, rewards):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+        majority_update_rule(n, rewards)
+
+
 def test_majority_ties_only_happen_for_even_groups():
     for n in (3, 5, 7):
         for rewards in itertools.product((0, 1), repeat=n):
@@ -301,9 +347,7 @@ def test_majority_ties_only_happen_for_even_groups():
 )
 def test_ghz_step_three_users(draws, rewards, direction, magnitude, p0_after):
     stub = _Scripted(draws)
-    out, record = ghz_step(
-        0.5, _pair_env(0.8, 0.2, n=3), GhzConstants((0.1, 0.05)), stub
-    )
+    out, record = ghz_step(0.5, _env(0.8, 0.2), 3, GhzConstants((0.1, 0.05)), stub)
     assert out == pytest.approx(p0_after, abs=1e-15)
     assert stub.consumed == 4
     assert record.machines == (record.measured_bit,) * 3
@@ -314,9 +358,7 @@ def test_ghz_step_three_users(draws, rewards, direction, magnitude, p0_after):
 
 def test_ghz_step_even_split_is_a_no_op():
     stub = _Scripted([0.3, 0.1, 0.1, 0.95, 0.95])
-    out, record = ghz_step(
-        0.5, _pair_env(0.5, 0.5, n=4), GhzConstants((0.1, 0.05)), stub
-    )
+    out, record = ghz_step(0.5, _env(0.5, 0.5), 4, GhzConstants((0.1, 0.05)), stub)
     assert out == 0.5
     assert stub.consumed == 5
     assert record.update_direction is None
@@ -325,20 +367,15 @@ def test_ghz_step_even_split_is_a_no_op():
 
 def test_ghz_step_rejects_mismatched_constants():
     with pytest.raises(ValueError):
-        ghz_step(0.5, _pair_env(0.5, 0.5, n=5), GhzConstants((0.1, 0.05)), RandomStream(0))
+        ghz_step(0.5, _env(0.5, 0.5), 5, GhzConstants((0.1, 0.05)), _NoDraws())
 
 
 @pytest.mark.parametrize(
     "policy,n_draws",
     [
-        (lambda stub: single_agent_step(0.5, _env(0.5, 0.5), UpdateConfig(0.1), stub), 2),
-        (lambda stub: coop_pair_step(0.5, _pair_env(0.5, 0.5), UpdateConfig(0.1), stub), 3),
-        (
-            lambda stub: ghz_step(
-                0.5, _pair_env(0.5, 0.5, n=5), GhzConstants((0.1, 0.05, 0.01)), stub
-            ),
-            6,
-        ),
+        (lambda stub: single_agent_step(0.5, _env(0.5, 0.5), 0.1, stub), 2),
+        (lambda stub: coop_pair_step(0.5, _env(0.5, 0.5), 0.1, stub), 3),
+        (lambda stub: ghz_step(0.5, _env(0.5, 0.5), 5, GhzConstants((0.1, 0.05, 0.01)), stub), 6),
         (lambda stub: duo_conflict_assign(stub), 1),
     ],
 )
@@ -372,11 +409,10 @@ def _assert_matches_distribution(counts, dist, n):
 
 def test_coop_one_step_matches_enumeration():
     p0, p1, p2, c = 0.4, 0.7, 0.3, 0.1
-    env = _pair_env(p1, p2)
-    cfg = UpdateConfig(c)
+    env = _env(p1, p2)
     rng = RandomStream(55)
     n = 150_000
-    counts = _one_step_frequencies(lambda r: coop_pair_step(p0, env, cfg, r)[0], n, rng)
+    counts = _one_step_frequencies(lambda r: coop_pair_step(p0, env, c, r)[0], n, rng)
     dist = enumerate_coop_step(p0, p1, p2, c)
     _assert_matches_distribution(counts, dist, n)
 
@@ -384,9 +420,9 @@ def test_coop_one_step_matches_enumeration():
 def test_ghz_one_step_matches_enumeration():
     p0, p1, p2 = 0.45, 0.8, 0.3
     constants = GhzConstants((0.1, 0.05))
-    env = _pair_env(p1, p2, n=3)
+    env = _env(p1, p2)
     rng = RandomStream(56)
     n = 150_000
-    counts = _one_step_frequencies(lambda r: ghz_step(p0, env, constants, r)[0], n, rng)
+    counts = _one_step_frequencies(lambda r: ghz_step(p0, env, 3, constants, r)[0], n, rng)
     dist = enumerate_ghz_step(p0, p1, p2, 3, constants)
     _assert_matches_distribution(counts, dist, n)

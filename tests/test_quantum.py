@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubit_bandit import quantum
-from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit
 from qubit_bandit.oracle import asymptotic_claim_report, enumerate_ghz_step
 from qubit_bandit.policies import GhzConstants
 from qubit_bandit.quantum import (
@@ -185,7 +184,6 @@ def test_uniforms_rejects_bad_counts(count):
     [
         (lambda k: RandomStream(k, stream=k), ("seed", "stream")),
         (lambda k: RandomStream(0).uniforms(k).tolist(), ()),
-        (lambda k: ReplicatedBandit(TwoArmBandit(0.5, 0.5), k), ("n_users",)),
         (lambda k: enumerate_ghz_step(0.5, 0.8, 0.2, k, GhzConstants((0.1, 0.05))), ()),
         (lambda k: GhzConstants((0.1, 0.05)).validate_for(k), ()),
         (
@@ -193,7 +191,7 @@ def test_uniforms_rejects_bad_counts(count):
             ("seed",),
         ),
     ],
-    ids=["stream", "uniforms", "replicated-users", "ghz-step", "ghz-validate-for", "report-seed"],
+    ids=["stream", "uniforms", "ghz-step", "ghz-validate-for", "report-seed"],
 )
 def test_numpy_integers_act_as_python_ints(build, int_fields):
     def comparable(value):

@@ -18,12 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubit_bandit import bandit, cli, harness, oracle
-from qubit_bandit.bandit import ReplicatedBandit, TwoArmBandit, drift_step, pull
+from qubit_bandit.bandit import TwoArmBandit, drift_step, pull
 from qubit_bandit.harness import ExperimentConfig, Scenario, run_experiment
 from qubit_bandit.policies import (
     GhzConstants,
     StepRecord,
-    UpdateConfig,
     coop_pair_step,
     duo_conflict_assign,
     ghz_step,
@@ -40,18 +39,17 @@ def _reference_trial(config, rng):
     for step in range(config.horizon):
         scenario = config.scenario
         if scenario is Scenario.SINGLE_AGENT:
-            p0, record = single_agent_step(p0, env, UpdateConfig(config.c), rng, step=step)
+            p0, record = single_agent_step(p0, env, config.c, rng, step=step)
         elif scenario is Scenario.DUO_CONFLICT:
             machines = duo_conflict_assign(rng, config.p_first)
             rewards = (pull(env.arm(machines[0]), rng), pull(env.arm(machines[1]), rng))
             p_first = config.p_first
             record = StepRecord(step, p_first, machines[0], machines, rewards, None, 0.0, p_first)
         elif scenario is Scenario.COOP_PAIR:
-            pair = ReplicatedBandit(env, 2)
-            p0, record = coop_pair_step(p0, pair, UpdateConfig(config.c), rng, step=step)
+            p0, record = coop_pair_step(p0, env, config.c, rng, step=step)
         else:
-            pairs = ReplicatedBandit(env, config.n_users)
-            p0, record = ghz_step(p0, pairs, GhzConstants(config.constants), rng, step=step)
+            constants = GhzConstants(config.constants)
+            p0, record = ghz_step(p0, env, config.n_users, constants, rng, step=step)
         records.append(record)
         env = drift_step(env, rng)
     return tuple(records)
@@ -276,7 +274,7 @@ def test_asymptotic_report_matches_the_per_round_reference(horizon, trials):
         state_acc = 0.0
         zero_picks = 0
         for step in range(horizon):
-            p0, record = single_agent_step(p0, env, UpdateConfig(c), rng, step=step)
+            p0, record = single_agent_step(p0, env, c, rng, step=step)
             if step >= horizon - window_steps:
                 state_acc += record.p0_after
                 zero_picks += record.machines[0] == 0
