@@ -75,6 +75,10 @@ def _is_number(value, integer: bool = False) -> bool:
 
 def _check_probability(name: str, value: float) -> float:
     """value as a Python float, or ValueError when it is not a probability."""
+    # a float, numpy's float64 included, is compared as a Python float,
+    # which is faster than a numpy scalar comparison
+    if isinstance(value, float) and 0.0 <= (number := float(value)) <= 1.0:
+        return number
     # also rejects NaN, since both comparisons come back False
     if not (_is_number(value) and 0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -83,6 +87,10 @@ def _check_probability(name: str, value: float) -> float:
 
 def _check_fraction(name: str, value: float) -> float:
     """value as a Python float, or ValueError when it is not in (0, 1]."""
+    # a float, numpy's float64 included, is compared as a Python float,
+    # which is faster than a numpy scalar comparison
+    if isinstance(value, float) and 0.0 < (number := float(value)) <= 1.0:
+        return number
     if not (_is_number(value) and 0.0 < value <= 1.0):
         raise ValueError(f"{name} must be in (0, 1], got {value!r}")
     return float(value)
