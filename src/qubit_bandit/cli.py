@@ -3,15 +3,10 @@
 One binary, five subcommands: qrng (raw bits from sample_bits plus a
 statistics battery), single, duo-conflict, coop, and ghz (learning runs,
 which emit plays and writes as CSV or JSON; it is their one writer). Flags
-override config-file values. ExperimentConfig.validate alone says what a
-scenario requires; parse_args re-raises its errors under the flag the user
-typed.
-
-Every emitted file carries its run's exact configuration. To replay a run,
-rebuild it with config_from_metadata(read_csv_metadata(path)) for a CSV, or
-config_from_metadata(payload["metadata"]["config"]) for a parsed JSON
-payload, and pass it to emit; --config reads key=value files only, not
-emitted ones.
+override config-file values; ExperimentConfig.validate alone says what a
+scenario requires. config_from_metadata rebuilds a run from an emitted
+file's metadata (a CSV's through read_csv_metadata, a JSON's from
+["metadata"]["config"]) for emit to replay; --config reads key=value only.
 """
 
 from __future__ import annotations
@@ -112,8 +107,7 @@ _FORMATS = ("csv", "json")
 # in resolution order, which fixes the first error a multi-fault input reports
 _BANDIT_FLAGS = ("p1", "p2", "p0", "horizon", "trials", "seed", "drift_step", "window")
 
-# subcommand -> (help, flags besides config); ExperimentConfig.validate
-# says which of them a scenario requires
+# subcommand -> (help, flags besides config); validate says which are required
 _COMMANDS = {
     "qrng": ("emit raw bits plus a statistics battery", ("p0", "count", "seed", "output")),
     "single": ("one learner on two machines", (*_BANDIT_FLAGS, "c", "format", "output")),
@@ -202,11 +196,8 @@ def _parse_constants(value: str) -> tuple[float, ...]:
 
 
 def parse_args(argv: Sequence[str] | None = None) -> tuple[ExperimentConfig, str, str | None]:
-    """Resolve flags and config file into (validated run, output format,
-    output path or None for stdout); unset fields keep their defaults.
-
-    qrng's format is "bits", the one it writes.
-    """
+    """Resolve flags and config file into (validated run, format, output path
+    or None for stdout); unset fields keep their defaults; qrng's format is "bits"."""
     namespace = _build_parser().parse_args(argv)
     command = namespace.command
     _, flags = _COMMANDS[command]
@@ -511,8 +502,7 @@ def _run_qrng(config: ExperimentConfig, handle: IO[str]) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Console entry point. Exit 0 on success, 2 on bad arguments, 1 on run
-    failure, including a run too large for memory."""
+    """Console entry point. Exit 0 on success, 2 on bad arguments, 1 on run failure."""
     try:
         config, fmt, output = parse_args(argv)
     except ConfigError as exc:

@@ -176,9 +176,8 @@ def coop_pair_step(
 
     Both users read the same bit and play that machine on their own copy of
     env. Two rewards shift toward the measured outcome by c in (0, 1], zero
-    rewards shift away, and a split (exactly one reward) leaves the state
-    untouched. Consumes exactly three draws: measurement, then one pull per
-    user.
+    rewards away, and a split (exactly one reward) leaves the state alone.
+    Consumes exactly three draws: measurement, then one pull per user.
     """
     # an exact float in range skips the full check; checked here, since a
     # split never reaches shift_probability
@@ -192,8 +191,7 @@ def majority_update_rule(n: int, rewards: tuple[int, ...]) -> tuple[int, bool] |
 
     The index counts dissent: 1 on full agreement, up to ceil(n/2) at the
     narrowest majority. An even split (possible only for even n) yields no
-    decision. n is taken as a Python int, so the result holds Python numbers
-    whatever integer type came in.
+    decision. n is taken as a Python int, so the result holds Python numbers.
     """
     # an exact int skips the full check, which refuses bools
     if type(n) is not int or n < 1:

@@ -75,8 +75,7 @@ def _is_number(value, integer: bool = False) -> bool:
 
 def _check_probability(name: str, value: float) -> float:
     """value as a Python float, or ValueError when it is not a probability."""
-    # a float, numpy's float64 included, is compared as a Python float,
-    # which is faster than a numpy scalar comparison
+    # a float (numpy's float64 too) compares faster as a Python float
     if isinstance(value, float) and 0.0 <= (number := float(value)) <= 1.0:
         return number
     # also rejects NaN, since both comparisons come back False
@@ -87,8 +86,7 @@ def _check_probability(name: str, value: float) -> float:
 
 def _check_fraction(name: str, value: float) -> float:
     """value as a Python float, or ValueError when it is not in (0, 1]."""
-    # a float, numpy's float64 included, is compared as a Python float,
-    # which is faster than a numpy scalar comparison
+    # a float (numpy's float64 too) compares faster as a Python float
     if isinstance(value, float) and 0.0 < (number := float(value)) <= 1.0:
         return number
     if not (_is_number(value) and 0.0 < value <= 1.0):

@@ -86,9 +86,8 @@ def test_steps_take_numpy_numbers_as_python_ones():
     )
     assert (out, record.update_magnitude) == (0.6, 0.1)
     _assert_python_numbers(out, record)
-    out, record = ghz_step(
-        0.5, _env(0.8, 0.2), np.int64(3), GhzConstants((0.1, 0.05)), _Scripted([0.3, 0.1, 0.1, 0.95])
-    )
+    stub = _Scripted([0.3, 0.1, 0.1, 0.95])
+    out, record = ghz_step(0.5, _env(0.8, 0.2), np.int64(3), GhzConstants((0.1, 0.05)), stub)
     assert (out, record.rewards, record.update_magnitude) == (0.55, (1, 1, 0), 0.05)
     _assert_python_numbers(out, record)
 
